@@ -51,6 +51,7 @@ class ScenarioSpec:
 
 
 def parse_scenario(token: str) -> ScenarioSpec:
+    """`long_lived`, `short:50` or `short50kb`; a bare `short` has size 0."""
     token = token.strip()
     if token == SCENARIO_LONG:
         return ScenarioSpec(SCENARIO_LONG)
@@ -58,7 +59,7 @@ def parse_scenario(token: str) -> ScenarioSpec:
         rest = token[len(SCENARIO_SHORT):].lstrip(":")
         if rest.lower().endswith("kb"):
             rest = rest[:-2]
-        return ScenarioSpec(SCENARIO_SHORT, size_kb=int(rest))
+        return ScenarioSpec(SCENARIO_SHORT, size_kb=int(rest) if rest else 0)
     raise ValueError(f"cannot parse scenario token {token!r}")
 
 
@@ -205,12 +206,14 @@ def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
     exp = lambda key, fb: get("experiment", key, fb)
     cfg.variant = exp("variant", cfg.variant)
     cfg.flows = int(exp("flows", str(cfg.flows)))
-    scenario_kind = exp("scenario", cfg.scenario.kind)
-    cfg.scenario = ScenarioSpec(
-        kind=scenario_kind,
-        duration_s=float(exp("duration_s", str(cfg.scenario.duration_s))),
-        size_kb=int(exp("size_kb", str(cfg.scenario.size_kb))),
-    )
+    scenario_text = exp("scenario", cfg.scenario.kind)
+    scenario = parse_scenario(scenario_text)
+    scenario.duration_s = float(exp("duration_s", str(cfg.scenario.duration_s)))
+    size_kb = int(exp("size_kb", str(scenario.size_kb)))
+    if scenario.size_kb and size_kb != scenario.size_kb:
+        raise ValueError(f"scenario = {scenario_text} conflicts with size_kb = {size_kb}")
+    scenario.size_kb = size_kb
+    cfg.scenario = scenario
     cfg.runs = int(exp("runs", str(cfg.runs)))
     cfg.seed = int(exp("seed", str(cfg.seed)))
     cfg.stagger_s = float(exp("stagger_s", str(cfg.stagger_s)))

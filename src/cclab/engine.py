@@ -1,8 +1,16 @@
 """Discrete-event engine on an integer microsecond clock.
 
 All simulation time is kept in whole microseconds so that replaying a
-run yields bit-identical event ordering on any platform.  Events that
-share a fire time are dispatched in insertion order.
+run yields bit-identical event ordering on any platform.  Events are
+keyed `(fire_at, seq)`, where `seq` counts schedule calls, so events
+that share a fire time are dispatched in insertion order.  The heap
+holds `(fire_at, seq, handle)` tuples and compares them in C.
+
+`reschedule` moves a pending event and dispatches it exactly where
+`cancel()` followed by `schedule()` would: it takes a fresh `seq` either
+way.  A move to a later time only updates the handle; its old heap entry
+is filed again under the new key when it surfaces, so restarting a
+retransmission timer, the commonest move, allocates no new event.
 """
 
 from __future__ import annotations
@@ -34,24 +42,20 @@ class ScheduleInPastError(ValueError):
 
 
 class EventHandle:
-    """Returned by schedule(); cancel() prevents a pending event from firing."""
+    """Returned by schedule(); cancel() prevents a pending event from firing.
 
-    __slots__ = ("fire_at", "seq", "action", "cancelled")
+    `action` is None once the event has fired or been cancelled.
+    """
+
+    __slots__ = ("fire_at", "seq", "action")
 
     def __init__(self, fire_at: SimTime, seq: int, action: Callable[[], None]):
         self.fire_at = fire_at
         self.seq = seq
-        self.action = action
-        self.cancelled = False
+        self.action: Callable[[], None] | None = action
 
     def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # seq is unique, so ordering is total and deterministic
-        if self.fire_at != other.fire_at:
-            return self.fire_at < other.fire_at
-        return self.seq < other.seq
+        self.action = None
 
 
 class EventLoop:
@@ -64,24 +68,42 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[SimTime, int, EventHandle]] = []
         self._seq = 0
         self.processed = 0
-        # (fire_at, seq) of every dispatched event, for replay checks
-        self.trace: list[tuple[SimTime, int]] = []
 
     def schedule(self, fire_at: SimTime, action: Callable[[], None]) -> EventHandle:
         if fire_at < self.now:
             raise ScheduleInPastError(
                 f"cannot schedule at {fire_at} us; clock is at {self.now} us"
             )
-        handle = EventHandle(fire_at, self._seq, action)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(fire_at, seq, action)
+        heapq.heappush(self._heap, (fire_at, seq, handle))
         return handle
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> EventHandle:
         return self.schedule(self.now + delay, action)
+
+    def reschedule(self, handle: EventHandle, fire_at: SimTime) -> EventHandle:
+        """Move a pending event to fire_at; returns the handle that now owns it.
+
+        Dispatch order is that of handle.cancel() + schedule(fire_at, ...).
+        """
+        action = handle.action
+        if action is None:
+            raise ValueError("cannot reschedule an event that fired or was cancelled")
+        if fire_at < handle.fire_at:
+            # the old heap entry would surface too late: file a new event
+            moved = self.schedule(fire_at, action)
+            handle.cancel()
+            return moved
+        # later (or equal): fire_at >= handle.fire_at >= now, never in the past
+        handle.fire_at = fire_at
+        handle.seq = self._seq
+        self._seq += 1
+        return handle
 
     def run_until(self, t_end: SimTime) -> int:
         """Dispatch every pending event with fire_at <= t_end, in order.
@@ -90,18 +112,30 @@ class EventLoop:
         sits at t_end even if the queue drained early.
         """
         heap = self._heap
+        heappop = heapq.heappop
         dispatched = 0
-        while heap and heap[0].fire_at <= t_end:
-            handle = heapq.heappop(heap)
-            if handle.cancelled:
+        while heap and heap[0][0] <= t_end:
+            fire_at, seq, handle = heappop(heap)
+            action = handle.action
+            if action is None:
                 continue
-            self.now = handle.fire_at
-            self.trace.append((handle.fire_at, handle.seq))
-            handle.action()
+            if seq != handle.seq:
+                # moved later by reschedule; file it under its current key
+                heapq.heappush(heap, (handle.fire_at, handle.seq, handle))
+                continue
+            handle.action = None
+            self.now = fire_at
+            action()
             dispatched += 1
         self.now = t_end
         self.processed += dispatched
         return dispatched
 
     def pending(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if h.action is not None)
+
+    def clear(self) -> None:
+        """Drop every pending event, releasing the objects its action holds."""
+        for _, _, handle in self._heap:
+            handle.action = None
+        self._heap.clear()

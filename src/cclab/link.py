@@ -111,6 +111,10 @@ class BottleneckLink:
         self._sinks[flow_id] = sink
         self.per_flow_drops.setdefault(flow_id, 0)
 
+    def clear_sinks(self) -> None:
+        """Forget every registered sink; a sink usually holds the link."""
+        self._sinks.clear()
+
     def serialization_us(self, wire_len: int) -> SimTime:
         return wire_len * 8 * US_PER_S // self.config.rate_bps
 

@@ -39,9 +39,13 @@ def jain_fairness(values: list[float]) -> float:
         raise ValueError("fairness index of an empty set")
     if any(v < 0 for v in values):
         raise ValueError("fairness index needs nonnegative inputs")
-    square_sum = sum(v * v for v in values)
-    if square_sum == 0:
+    peak = max(values)
+    if peak == 0:
         raise ValueError("fairness index undefined when every value is zero")
+    if not 1e-100 <= peak <= 1e100:
+        # keep the squares that matter clear of underflow and overflow
+        values = [v / peak for v in values]
+    square_sum = sum(v * v for v in values)
     total = sum(values)
     return (total * total) / (len(values) * square_sum)
 

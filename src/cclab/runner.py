@@ -116,7 +116,16 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
         loop.schedule(0, sample)
 
-    loop.run_until(horizon_us)
+    try:
+        loop.run_until(horizon_us)
+    finally:
+        # Break the run's reference cycles (pending events -> actions ->
+        # senders and link -> loop, link sinks <-> pipes, the sampler's
+        # reference to itself) so that a finished run is freed as soon as
+        # it is dropped, not when the cyclic collector next gets to it.
+        loop.clear()
+        link.clear_sinks()
+        sample = None
 
     flow_metrics = []
     decreases = []

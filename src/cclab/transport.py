@@ -175,7 +175,6 @@ class TcpSender:
         self.rtt_samples: list[tuple[SimTime, SimTime]] = []
         self.decreases: list[tuple[SimTime, str, float, float, float]] = []
         self.episodes: list[tuple[SimTime, int]] = []
-        self.events: list[tuple[SimTime, str, float, float, float, SimTime, int]] = []
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
@@ -200,11 +199,6 @@ class TcpSender:
 
     def srtt_us(self) -> SimTime:
         return int(self.estimator.srtt_us) if self.estimator.srtt_us is not None else 0
-
-    def _log_event(self, kind: str) -> None:
-        self.events.append((self.loop.now, kind, self.controller.cwnd_segments(),
-                            self.controller.ssthresh_segments(), float(self.srtt_us()),
-                            self.rto_current_us, self.snd_una))
 
     # app side
 
@@ -277,9 +271,11 @@ class TcpSender:
         self._timer = self.loop.schedule_in(self.rto_current_us, self._on_timer)
 
     def _restart_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._arm_timer()
+        if self._timer is None:
+            self._arm_timer()
+        else:
+            self._timer = self.loop.reschedule(
+                self._timer, self.loop.now + self.rto_current_us)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -297,7 +293,6 @@ class TcpSender:
         ctrl.on_timeout(now)
         self.decreases.append((now, "timeout", pre, ctrl.cwnd_segments(),
                                ctrl.ssthresh_segments()))
-        self._log_event("timeout")
         self.rto_current_us = min(self.rto_current_us * 2, self.config.rto_max_us)
         self.in_recovery = False
         self._inflation_segments = 0
@@ -345,7 +340,6 @@ class TcpSender:
         ctrl.on_3dupack(now)
         self.decreases.append((now, "3dupack", pre, ctrl.cwnd_segments(),
                                ctrl.ssthresh_segments()))
-        self._log_event("fast_retransmit")
         self.in_recovery = True
         self.recovery_point = self.snd_max
         self._recover_guard = self.snd_max
@@ -385,7 +379,6 @@ class TcpSender:
                 self.in_recovery = False
                 self._inflation_segments = 0
                 self.dupack_count = 0
-                self._log_event("recovery_exit")
                 self._restart_timer()
             else:
                 # partial ACK: repair the next hole, no second decrease

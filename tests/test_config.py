@@ -84,6 +84,20 @@ def test_scenario_tokens():
         parse_scenario("medium")
 
 
+def test_documented_short_token_in_experiment_section():
+    token = load_config(text="[experiment]\nscenario = short:50\n")
+    keyed = load_config(text="[experiment]\nscenario = short\nsize_kb = 50\n")
+    assert token.scenario == keyed.scenario
+    assert token.scenario.kind == "short" and token.scenario.size_kb == 50
+    assert token.canonical_text() == keyed.canonical_text()
+    agreeing = load_config(text="[experiment]\nscenario = short:50\nsize_kb = 50\n")
+    assert agreeing.scenario == keyed.scenario
+    with pytest.raises(ValueError):
+        load_config(text="[experiment]\nscenario = short:50\nsize_kb = 100\n")
+    with pytest.raises(ValueError):
+        load_config(text="[experiment]\nscenario = short\n")
+
+
 def test_scenario_tag_and_sizes():
     assert ScenarioSpec().tag == "long180s"
     assert ScenarioSpec("short", size_kb=50).tag == "short50kb"

@@ -1,8 +1,7 @@
 """Event loop ordering, cancellation, and replay determinism."""
 
-import hashlib
-
 import pytest
+from hypothesis import given, strategies as st
 
 from cclab.engine import EventLoop, ScheduleInPastError, ms, seconds
 
@@ -87,17 +86,121 @@ def test_handler_reentrancy_keeps_clock_monotone():
 def test_replay_produces_identical_trace():
     def build_and_run():
         loop = EventLoop()
+        trace = []
 
         def spawn(depth):
+            trace.append((loop.now, f"spawn{depth}"))
             if depth < 40:
                 loop.schedule_in(3, lambda: spawn(depth + 1))
-                loop.schedule_in(5, lambda: None)
+                loop.schedule_in(5, lambda: trace.append((loop.now, f"leaf{depth}")))
 
         loop.schedule(0, lambda: spawn(0))
         loop.run_until(seconds(1))
-        return hashlib.sha256(repr(loop.trace).encode()).hexdigest()
+        return trace
 
-    assert build_and_run() == build_and_run()
+    first = build_and_run()
+    assert len(first) == 81
+    assert first == build_and_run()
+
+
+# one op: (kind, index into the scheduled events, amount in us)
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("schedule", "cancel", "later", "earlier", "same", "past", "run")),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=20)), max_size=80)
+
+
+@given(_OPS)
+def test_reschedule_dispatches_like_cancel_then_schedule(ops):
+    moved, plain = EventLoop(), EventLoop()
+    moved_log, plain_log = [], []
+    handles = []      # [handle in `moved`, handle in `plain`] per scheduled event
+    cancelled = set()
+
+    def logger(loop, log, tag):
+        return lambda: log.append((loop.now, tag))
+
+    def live(i):
+        return i not in cancelled and i not in {tag for _, tag in plain_log}
+
+    for kind, pick, amount in ops:
+        if kind == "schedule" or not handles:
+            tag = len(handles)
+            at = moved.now + amount
+            handles.append([moved.schedule(at, logger(moved, moved_log, tag)),
+                            plain.schedule(at, logger(plain, plain_log, tag))])
+            continue
+        if kind == "run":
+            moved.run_until(moved.now + amount)
+            plain.run_until(plain.now + amount)
+            continue
+        i = pick % len(handles)
+        if not live(i):
+            continue
+        pair = handles[i]
+        fire_at = pair[1].fire_at
+        if kind == "cancel":
+            pair[0].cancel()
+            pair[1].cancel()
+            cancelled.add(i)
+            continue
+        if kind == "past":
+            if moved.now > 0:
+                with pytest.raises(ScheduleInPastError):
+                    moved.reschedule(pair[0], moved.now - 1)
+            continue
+        if kind == "later":
+            to = fire_at + amount + 1
+        elif kind == "earlier":
+            to = max(moved.now, fire_at - amount - 1)
+        else:
+            to = fire_at
+        pair[0] = moved.reschedule(pair[0], to)
+        pair[1].cancel()
+        pair[1] = plain.schedule(to, logger(plain, plain_log, i))
+        assert pair[0].fire_at == to
+        expected = sum(1 for j in range(len(handles)) if live(j))
+        assert moved.pending() == plain.pending() == expected
+
+    moved.run_until(moved.now + 1_000)
+    plain.run_until(plain.now + 1_000)
+    assert moved_log == plain_log
+    assert moved.processed == plain.processed == len(plain_log)
+    assert moved.pending() == 0
+
+
+def test_reschedule_of_a_fired_or_cancelled_event_raises():
+    loop = EventLoop()
+    fired = loop.schedule(1, lambda: None)
+    dropped = loop.schedule(5, lambda: None)
+    dropped.cancel()
+    loop.run_until(2)
+    for handle in (fired, dropped):
+        with pytest.raises(ValueError):
+            loop.reschedule(handle, 10)
+
+
+def test_reschedule_into_the_past_raises_and_keeps_the_event():
+    loop = EventLoop()
+    hits = []
+    handle = loop.schedule(20, lambda: hits.append(loop.now))
+    loop.run_until(10)
+    with pytest.raises(ScheduleInPastError):
+        loop.reschedule(handle, 9)
+    assert loop.pending() == 1
+    loop.run_until(30)
+    assert hits == [20]
+
+
+def test_clear_drops_pending_events():
+    loop = EventLoop()
+    hits = []
+    loop.schedule(5, lambda: hits.append(5))
+    loop.reschedule(loop.schedule(6, lambda: hits.append(6)), 8)
+    loop.clear()
+    assert loop.pending() == 0
+    assert loop.run_until(10) == 0
+    assert hits == []
 
 
 def test_ms_and_seconds_round_to_microseconds():

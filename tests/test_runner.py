@@ -1,5 +1,6 @@
 """Seeded runs: determinism, measurement windows, output files."""
 
+import gc
 import json
 
 import pytest
@@ -126,3 +127,20 @@ def test_backlog_probe_is_optional():
     probe = run_single(cfg, seed=2, keep_backlog_probe=True).backlog_probe
     assert probe is not None
     assert probe.backlog_at(0) == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(capture_timeseries=True),
+    dict(flows=4),
+    dict(flows=2, scenario=ScenarioSpec("short", size_kb=50)),
+], ids=["timeseries", "four_flows", "short50"])
+def test_finished_run_leaves_no_cyclic_garbage(overrides):
+    cfg = short_config(duration_s=30)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_single(cfg, seed=3, **overrides)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert result.flows
