@@ -24,10 +24,7 @@ from .runner import run_single, summary_dict, write_run_outputs
 
 
 def _load_base(args) -> LabConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = LabConfig()
+    config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     if getattr(args, "out", None):

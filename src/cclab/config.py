@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .cc import (BicParams, CubicParams, NewRenoParams, WestwoodParams,
                  canonical_variant)
@@ -68,7 +70,6 @@ class LabConfig:
     variant: str = "newreno"
     flows: int = 1
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
-    runs: int = 1
     seed: int = 1
     stagger_s: float = 1.0
     sample_interval_ms: float = 100.0
@@ -89,7 +90,7 @@ class LabConfig:
         self.variant = canonical_variant(self.variant)
         if self.flows < 1:
             raise ValueError("flow count must be at least 1")
-        if self.runs < 1 or self.matrix_runs < 1:
+        if self.matrix_runs < 1:
             raise ValueError("repetition count must be at least 1")
         if self.stagger_s < 0:
             raise ValueError("stagger cannot be negative")
@@ -104,7 +105,11 @@ class LabConfig:
         if any(f < 1 for f in self.matrix_flows):
             raise ValueError("matrix flow counts must be positive")
         for token in self.matrix_scenarios:
-            parse_scenario(token).validate()
+            self.matrix_scenario(token).validate()
+
+    def matrix_scenario(self, token: str) -> ScenarioSpec:
+        """The spec of a `[matrix] scenarios` token: it lasts `duration_s`."""
+        return replace(parse_scenario(token), duration_s=self.scenario.duration_s)
 
     def params_for(self, variant: str):
         variant = canonical_variant(variant)
@@ -114,70 +119,11 @@ class LabConfig:
     # canonical text and hashing
 
     def canonical_text(self) -> str:
-        sc = self.scenario
-        tr = self.transport
-        ssthresh = tr.initial_ssthresh_segments
-        lines = [
-            "[experiment]",
-            f"variant = {self.variant}",
-            f"flows = {self.flows}",
-            f"scenario = {sc.kind}",
-            f"duration_s = {sc.duration_s:g}",
-            f"size_kb = {sc.size_kb}",
-            f"runs = {self.runs}",
-            f"seed = {self.seed}",
-            f"stagger_s = {self.stagger_s:g}",
-            f"sample_interval_ms = {self.sample_interval_ms:g}",
-            f"workers = {self.workers}",
-            "",
-            "[link]",
-            f"rate_bps = {self.link.rate_bps}",
-            f"prop_rtt_ms = {self.link.prop_rtt_us / 1000:g}",
-            f"queue_capacity = {self.link.queue_capacity}",
-            f"arq_frame_error_prob = {self.link.arq_frame_error_prob:g}",
-            f"arq_retx_delay_ms = {self.link.arq_retx_delay_us / 1000:g}",
-            f"arq_max_retx = {self.link.arq_max_retx}",
-            f"residual_loss_prob = {self.link.residual_loss_prob:g}",
-            "",
-            "[transport]",
-            f"mss = {tr.mss}",
-            f"wire_len = {tr.wire_len}",
-            f"initial_cwnd = {tr.initial_cwnd_segments}",
-            f"initial_ssthresh = {'inf' if ssthresh == float('inf') else format(ssthresh, 'g')}",
-            f"dupack_threshold = {tr.dupack_threshold}",
-            f"rto_initial_ms = {tr.rto_initial_us / 1000:g}",
-            f"rto_min_ms = {tr.rto_min_us / 1000:g}",
-            f"rto_max_ms = {tr.rto_max_us / 1000:g}",
-            "",
-            "[newreno]",
-            f"b = {Fraction(self.newreno.beta_num, self.newreno.beta_den)}",
-            "",
-            "[westwood+]",
-            f"filter_gain = {self.westwood.filter_gain:g}",
-            f"min_interval_ms = {self.westwood.min_interval_us / 1000:g}",
-            f"fallback_b = {Fraction(self.westwood.fallback_beta_num, self.westwood.fallback_beta_den)}",
-            "",
-            "[bic]",
-            f"b = {Fraction(self.bic.beta_num, self.bic.beta_den)}",
-            f"s_max = {self.bic.s_max:g}",
-            f"s_min = {self.bic.s_min:g}",
-            f"low_window = {self.bic.low_window:g}",
-            f"probe_start = {self.bic.probe_start:g}",
-            f"fast_convergence = {str(self.bic.fast_convergence).lower()}",
-            "",
-            "[cubic]",
-            f"c = {self.cubic.c:g}",
-            f"b = {self.cubic.b:g}",
-            f"tcp_friendly = {str(self.cubic.tcp_friendly).lower()}",
-            f"fast_convergence = {str(self.cubic.fast_convergence).lower()}",
-            "",
-            "[matrix]",
-            f"variants = {','.join(self.matrix_variants)}",
-            f"flows = {','.join(str(f) for f in self.matrix_flows)}",
-            f"scenarios = {','.join(self.matrix_scenarios)}",
-            f"runs = {self.matrix_runs}",
-        ]
-        return "\n".join(lines) + "\n"
+        """Every key of `KEYS`, in order, one `[section]` block per section."""
+        return "\n".join(
+            f"[{section}]\n" + "".join(f"{key} = {fmt(attrgetter(*path.split())(self))}\n"
+                                        for _, key, path, (_, fmt) in rows)
+            for section, rows in groupby(KEYS, itemgetter(0)))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -190,100 +136,115 @@ def _beta_fraction(text: str) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
+def _list(item):
+    return (lambda text: tuple(item(w.strip()) for w in text.split(",") if w.strip()),
+            lambda values: ",".join(map(str, values)))
+
+
+# codecs: (parse the INI text, format the attribute value)
+_TEXT = (str, str)
+_INT = (int, str)
+_FLOAT = (float, lambda value: format(value, "g"))   # "inf" round-trips too
+_MS = (lambda text: round(float(text) * 1000), lambda us: format(us / 1000, "g"))
+_BETA = (_beta_fraction, lambda pair: str(Fraction(*pair)))
+_BOOL = (lambda text: text.lower() in ("1", "true", "yes", "on"),
+         lambda value: str(value).lower())
+
+# (section, key, LabConfig attribute path, codec), in canonical order.  The
+# hashed text is exactly these keys; defaults live in the dataclasses.  A
+# path of several space-separated attributes takes a tuple-valued codec.
+# `scenario` loads a whole new spec, so it must precede `duration_s` and
+# `size_kb`.
+KEYS = (
+    ("experiment", "variant", "variant", _TEXT),
+    ("experiment", "flows", "flows", _INT),
+    ("experiment", "scenario", "scenario", (parse_scenario, attrgetter("kind"))),
+    ("experiment", "duration_s", "scenario.duration_s", _FLOAT),
+    ("experiment", "size_kb", "scenario.size_kb", _INT),
+    ("experiment", "seed", "seed", _INT),
+    ("experiment", "stagger_s", "stagger_s", _FLOAT),
+    ("experiment", "sample_interval_ms", "sample_interval_ms", _FLOAT),
+    ("link", "rate_bps", "link.rate_bps", _INT),
+    ("link", "prop_rtt_ms", "link.prop_rtt_us", _MS),
+    ("link", "queue_capacity", "link.queue_capacity", _INT),
+    ("link", "arq_frame_error_prob", "link.arq_frame_error_prob", _FLOAT),
+    ("link", "arq_retx_delay_ms", "link.arq_retx_delay_us", _MS),
+    ("link", "arq_max_retx", "link.arq_max_retx", _INT),
+    ("link", "residual_loss_prob", "link.residual_loss_prob", _FLOAT),
+    ("transport", "mss", "transport.mss", _INT),
+    ("transport", "wire_len", "transport.wire_len", _INT),
+    ("transport", "initial_cwnd", "transport.initial_cwnd_segments", _INT),
+    ("transport", "initial_ssthresh", "transport.initial_ssthresh_segments", _FLOAT),
+    ("transport", "dupack_threshold", "transport.dupack_threshold", _INT),
+    ("transport", "rto_initial_ms", "transport.rto_initial_us", _MS),
+    ("transport", "rto_min_ms", "transport.rto_min_us", _MS),
+    ("transport", "rto_max_ms", "transport.rto_max_us", _MS),
+    ("newreno", "b", "newreno.beta_num newreno.beta_den", _BETA),
+    ("westwood+", "filter_gain", "westwood.filter_gain", _FLOAT),
+    ("westwood+", "min_interval_ms", "westwood.min_interval_us", _MS),
+    ("westwood+", "fallback_b", "westwood.fallback_beta_num westwood.fallback_beta_den", _BETA),
+    ("bic", "b", "bic.beta_num bic.beta_den", _BETA),
+    ("bic", "s_max", "bic.s_max", _FLOAT),
+    ("bic", "s_min", "bic.s_min", _FLOAT),
+    ("bic", "low_window", "bic.low_window", _FLOAT),
+    ("bic", "probe_start", "bic.probe_start", _FLOAT),
+    ("bic", "fast_convergence", "bic.fast_convergence", _BOOL),
+    ("cubic", "c", "cubic.c", _FLOAT),
+    ("cubic", "b", "cubic.b", _FLOAT),
+    ("cubic", "tcp_friendly", "cubic.tcp_friendly", _BOOL),
+    ("cubic", "fast_convergence", "cubic.fast_convergence", _BOOL),
+    ("matrix", "variants", "matrix_variants", _list(str)),
+    ("matrix", "flows", "matrix_flows", _list(int)),
+    ("matrix", "scenarios", "matrix_scenarios", _list(str)),
+    ("matrix", "runs", "matrix_runs", _INT),
+)
+
+# run settings: read from the file, but they do not change results, so they
+# stay out of the hashed text
+_RUN_KEYS = (
+    ("experiment", "out", "out_dir", _TEXT),
+    ("experiment", "workers", "workers", _INT),
+)
+
+_LEGAL = {(section, key) for section, key, _, _ in KEYS + _RUN_KEYS}
+_SECTIONS = {section for section, _ in _LEGAL}
+
+
+def _set(cfg: LabConfig, path: str, value) -> None:
+    names = path.split()
+    for name, item in zip(names, value if len(names) > 1 else (value,)):
+        owner, _, attr = name.rpartition(".")
+        setattr(attrgetter(owner)(cfg) if owner else cfg, attr, item)
+
+
 def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
-    """Build a LabConfig from INI text; missing keys fall back to defaults."""
-    parser = configparser.ConfigParser()
+    """Build a LabConfig from INI text; missing keys keep their defaults.
+
+    An unknown section or key raises ValueError; `;` starts an inline comment.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if text is not None:
         parser.read_string(text)
     elif path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+    if parser.defaults():
+        raise ValueError(f"unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in _LEGAL:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+
     cfg = LabConfig()
-
-    def get(section: str, key: str, fallback: str) -> str:
-        return parser.get(section, key, fallback=fallback)
-
-    exp = lambda key, fb: get("experiment", key, fb)
-    cfg.variant = exp("variant", cfg.variant)
-    cfg.flows = int(exp("flows", str(cfg.flows)))
-    scenario_text = exp("scenario", cfg.scenario.kind)
-    scenario = parse_scenario(scenario_text)
-    scenario.duration_s = float(exp("duration_s", str(cfg.scenario.duration_s)))
-    size_kb = int(exp("size_kb", str(scenario.size_kb)))
-    if scenario.size_kb and size_kb != scenario.size_kb:
-        raise ValueError(f"scenario = {scenario_text} conflicts with size_kb = {size_kb}")
-    scenario.size_kb = size_kb
-    cfg.scenario = scenario
-    cfg.runs = int(exp("runs", str(cfg.runs)))
-    cfg.seed = int(exp("seed", str(cfg.seed)))
-    cfg.stagger_s = float(exp("stagger_s", str(cfg.stagger_s)))
-    cfg.sample_interval_ms = float(exp("sample_interval_ms", str(cfg.sample_interval_ms)))
-    cfg.out_dir = exp("out", cfg.out_dir)
-    cfg.workers = int(exp("workers", str(cfg.workers)))
-
-    ln = lambda key, fb: get("link", key, fb)
-    cfg.link = LinkConfig(
-        rate_bps=int(ln("rate_bps", str(cfg.link.rate_bps))),
-        prop_rtt_us=round(float(ln("prop_rtt_ms", "100")) * 1000),
-        queue_capacity=int(ln("queue_capacity", str(cfg.link.queue_capacity))),
-        arq_frame_error_prob=float(ln("arq_frame_error_prob", str(cfg.link.arq_frame_error_prob))),
-        arq_retx_delay_us=round(float(ln("arq_retx_delay_ms",
-                                         str(cfg.link.arq_retx_delay_us / 1000))) * 1000),
-        arq_max_retx=int(ln("arq_max_retx", str(cfg.link.arq_max_retx))),
-        residual_loss_prob=float(ln("residual_loss_prob", str(cfg.link.residual_loss_prob))),
-    )
-
-    tr = lambda key, fb: get("transport", key, fb)
-    ssthresh_text = tr("initial_ssthresh", "44")
-    cfg.transport = TransportConfig(
-        mss=int(tr("mss", str(cfg.transport.mss))),
-        wire_len=int(tr("wire_len", str(cfg.transport.wire_len))),
-        initial_cwnd_segments=int(tr("initial_cwnd", "2")),
-        initial_ssthresh_segments=float(ssthresh_text),
-        dupack_threshold=int(tr("dupack_threshold", "3")),
-        rto_initial_us=round(float(tr("rto_initial_ms", "1000")) * 1000),
-        rto_min_us=round(float(tr("rto_min_ms", "200")) * 1000),
-        rto_max_us=round(float(tr("rto_max_ms", "60000")) * 1000),
-    )
-
-    num, den = _beta_fraction(get("newreno", "b", "1/2"))
-    cfg.newreno = NewRenoParams(beta_num=num, beta_den=den)
-
-    fb_num, fb_den = _beta_fraction(get("westwood+", "fallback_b", "1/2"))
-    cfg.westwood = WestwoodParams(
-        filter_gain=float(get("westwood+", "filter_gain", "0.9")),
-        min_interval_us=round(float(get("westwood+", "min_interval_ms", "50")) * 1000),
-        fallback_beta_num=fb_num,
-        fallback_beta_den=fb_den,
-    )
-
-    truthy = ("1", "true", "yes", "on")
-    num, den = _beta_fraction(get("bic", "b", "4/5"))
-    cfg.bic = BicParams(
-        beta_num=num,
-        beta_den=den,
-        s_max=float(get("bic", "s_max", "32")),
-        s_min=float(get("bic", "s_min", "0.01")),
-        low_window=float(get("bic", "low_window", "14")),
-        probe_start=float(get("bic", "probe_start", "0.01")),
-        fast_convergence=get("bic", "fast_convergence", "true").strip().lower() in truthy,
-    )
-
-    cfg.cubic = CubicParams(
-        c=float(get("cubic", "c", "0.4")),
-        b=float(get("cubic", "b", "0.2")),
-        tcp_friendly=get("cubic", "tcp_friendly", "true").strip().lower() in truthy,
-        fast_convergence=get("cubic", "fast_convergence", "true").strip().lower() in truthy,
-    )
-
-    mx = lambda key, fb: get("matrix", key, fb)
-    cfg.matrix_variants = tuple(
-        v.strip() for v in mx("variants", ",".join(cfg.matrix_variants)).split(",") if v.strip())
-    cfg.matrix_flows = tuple(
-        int(f) for f in mx("flows", ",".join(map(str, cfg.matrix_flows))).split(",") if f.strip())
-    cfg.matrix_scenarios = tuple(
-        s.strip() for s in mx("scenarios", ",".join(cfg.matrix_scenarios)).split(",") if s.strip())
-    cfg.matrix_runs = int(mx("runs", str(cfg.matrix_runs)))
-
+    for section, key, attrs, (parse, _) in KEYS + _RUN_KEYS:
+        value = parser.get(section, key, fallback=None)
+        if value is not None:
+            _set(cfg, attrs, parse(value))
+    if parser.has_option("experiment", "scenario"):
+        token = parser.get("experiment", "scenario")
+        if parse_scenario(token).size_kb not in (0, cfg.scenario.size_kb):
+            raise ValueError(f"scenario = {token} conflicts with size_kb = {cfg.scenario.size_kb}")
     cfg.validate()
     return cfg

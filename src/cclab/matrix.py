@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import LabConfig, parse_scenario
+from .config import LabConfig
 from .metrics import empirical_cdf, representative_flow
 from .runner import RunResult, run_single
 
@@ -83,7 +83,7 @@ class CellResult:
 
 def _cell_task(args) -> CellResult:
     config, variant, flows, scenario_token = args
-    scenario = parse_scenario(scenario_token)
+    scenario = config.matrix_scenario(scenario_token)
     cell = CellResult(variant, flows, scenario.tag)
     try:
         for rep in range(config.matrix_runs):
@@ -149,7 +149,7 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
 
     scenario_tags = []
     for token in config.matrix_scenarios:
-        tag = parse_scenario(token).tag
+        tag = config.matrix_scenario(token).tag
         if tag not in scenario_tags:
             scenario_tags.append(tag)
 

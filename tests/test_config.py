@@ -1,9 +1,15 @@
 """Config parsing, canonical serialization, and hashing."""
 
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
-from cclab.config import (LabConfig, ScenarioSpec, SHORT_SIZES_KB, load_config,
+from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, load_config,
                           parse_scenario)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_text_yields_the_reference_scenario():
@@ -68,6 +74,36 @@ def test_hash_changes_when_any_key_changes():
     assert load_config(text="[experiment]\nseed = 2\n").config_hash() != base
     assert load_config(text="[link]\nqueue_capacity = 61\n").config_hash() != base
     assert load_config(text="[cubic]\nc = 0.5\n").config_hash() != base
+
+
+def test_run_settings_stay_out_of_the_hash():
+    base = load_config(text="")
+    run = load_config(text="[experiment]\nworkers = 2\nout = elsewhere\n")
+    assert (run.workers, run.out_dir) == (2, "elsewhere")
+    assert run.canonical_text() == base.canonical_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nduraton_s = 20\n", "unknown key 'duraton_s' in [experiment]"),
+    ("[experiment]\nruns = 3\n", "unknown key 'runs' in [experiment]"),
+    ("[linkk]\nrate_bps = 1000000\n", "unknown section [linkk]"),
+    ("[linkk]\n", "unknown section [linkk]"),
+    ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ("[link]\nrate = 1000000\n", "unknown key 'rate' in [link]"),
+])
+def test_unknown_sections_and_keys_are_rejected(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(text=text)
+
+
+def test_readme_config_block_loads_to_the_defaults():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    assert load_config(text=block).config_hash() == LabConfig().config_hash()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    missing = [(section, key) for section, key, _, _ in KEYS
+               if not parser.has_option(section, key)]
+    assert missing == []
 
 
 def test_variant_aliases_are_canonicalized():

@@ -21,23 +21,23 @@ from cclab.runner import run_single, write_run_outputs
 # (variant, flows, seed, duration_s or None, size_kb or None) -> sha256
 GOLDEN = {
     ("newreno", 1, 3, 60, None):
-        "c9aa26c3c682771a7131f693a570bfbb742e6b22cfe1e0b1031c5033ea9708a6",
+        "5560e393f06d855c886508f3672cde4b0c4f44063b6a9b3327f0b0acf0097951",
     ("westwood+", 1, 3, 60, None):
-        "1181ba1a2eb9f53963394556dc4e3cb3c3b0b4a85cc8f3d1c7ea1d5c3f6a8abc",
+        "8f8a0f0fc3af7cf043bee887cf9a61ec2e6d3f0c7d504909db957166ba23c092",
     ("bic", 1, 3, 60, None):
-        "505f7b8cd771115ac1342da52f548e911ab1296ed04ae2d5e95074f235cbfea4",
+        "c4ef5e49b7ea67d5c0d835f26cf654b269f6bdfbfe22fb72596f2681a31c1f98",
     ("cubic", 1, 3, 60, None):
-        "c69df0165a2f91914fdbc4202c13a302a51ed942d56dbe89d85362e164d52665",
+        "f7226ed8bc66afcb854d031f6fff3bb2593e2f2576f7fa688b66e0bcc526add6",
     ("newreno", 4, 2, 90, None):
-        "4872996bf5634c7095aa45a3781d1c59b5a46ae7d0a3a5b5b5bdacf5ac818d7d",
+        "faa8be50612144a69b44e2503482d20b0beee6d46dcae750c5994332935f200f",
     ("westwood+", 4, 2, 90, None):
-        "6259ff47fb004c4ac2b4546bc8634400f81930588a26f959f36dd177e8bc5142",
+        "b5c3cc9fea817d48a86a9908a1713fc2705362f54e0856c081d6b21e98b94156",
     ("bic", 4, 2, 90, None):
-        "246daf97ce34e9ea8f50a390f0f8ebd02a16509f22d811104d88db04cd8f5324",
+        "a7f5ba916864e3b365192cc3a3a901874d71b2c42d421751f62bb6a42c24c2d3",
     ("cubic", 4, 2, 90, None):
-        "3d637e30e43213c011e8cfaf03ba03727c8adf94a799b7a30fb4bd64a17f4a38",
+        "fe31353bef69f7d5d3bc5a1edf1710d5487b83e742bcbffc7706042d251aa49b",
     ("cubic", 2, 4, None, 50):
-        "9c0488a798dfb2235d2bb2bb91860e2c63fb795aa42bd79b07c31f629f32b100",
+        "51493746356229b840d3e90b65507c7cab059c22465929ba414e7c04cc40c0cb",
 }
 
 

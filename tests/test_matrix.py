@@ -124,13 +124,31 @@ def test_matrix_is_deterministic_across_calls():
         assert a.mean("mean_rtt_ms") == b.mean("mean_rtt_ms")
 
 
-def test_parallel_workers_match_serial_results():
-    cfg = load_config(text=SMALL_MATRIX)
-    serial = run_matrix(cfg)
-    cfg_par = load_config(text=SMALL_MATRIX)
-    cfg_par.workers = 2
-    parallel = run_matrix(cfg_par)
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_parallel_workers_match_serial_results(tmp_path):
+    campaigns = []
+    for workers in (1, 2):
+        cfg = load_config(text=SMALL_MATRIX.replace("seed = 42",
+                                                    f"seed = 42\nworkers = {workers}"))
+        campaigns.append(run_matrix(cfg))
+        write_matrix_outputs(str(tmp_path / str(workers)), cfg, campaigns[-1])
+    serial, parallel = campaigns
     assert [c.key for c in serial] == [c.key for c in parallel]
     for a, b in zip(serial, parallel):
         assert a.mean("goodput_kbps") == b.mean("goodput_kbps")
         assert a.mean_jain() == b.mean_jain()
+    tree = _tree(tmp_path / "1")
+    assert len(tree) == 4 + 4 + 1      # tables, CDFs, summary
+    assert tree == _tree(tmp_path / "2")
+
+
+def test_long_lived_cells_run_the_experiment_duration():
+    cfg = load_config(text="[experiment]\nduration_s = 20\n\n[matrix]\n"
+                           "variants = newreno\nflows = 1\nruns = 1\n")
+    [cell] = run_matrix(cfg)
+    assert cell.ok and cell.scenario_tag == "long20s"
+    duration_us = cell.runs[0].flows[0].duration_us
+    assert 18_000_000 < duration_us < 20_000_000
