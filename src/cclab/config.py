@@ -220,8 +220,17 @@ def _set(cfg: LabConfig, path: str, value) -> None:
 def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
     """Build a LabConfig from INI text; missing keys keep their defaults.
 
-    An unknown section or key raises ValueError; `;` starts an inline comment.
+    An unknown section or key raises ValueError, and so does text that
+    configparser cannot read (no section header, a key set twice); `;`
+    starts an inline comment.
     """
+    try:
+        return _load(path, text)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from exc
+
+
+def _load(path: str | None, text: str | None) -> LabConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if text is not None:
         parser.read_string(text)

@@ -4,7 +4,16 @@ All simulation time is kept in whole microseconds so that replaying a
 run yields bit-identical event ordering on any platform.  Events are
 keyed `(fire_at, seq)`, where `seq` counts schedule calls, so events
 that share a fire time are dispatched in insertion order.  The heap
-holds `(fire_at, seq, handle)` tuples and compares them in C.
+holds `(fire_at, seq, fn, arg)` tuples and compares them in C; `seq` is
+unique, so a comparison never reaches `fn`.
+
+There are two kinds of event.  `post(fire_at, fn, arg)` files an event
+that cannot be cancelled and, when it fires, calls `fn(arg)`: no handle
+and no closure are built, which suits the packet and ACK path, where
+every hop is a fire-and-forget call with one argument.  `schedule`
+returns an `EventHandle` that can be cancelled or moved; its entry is
+`(fire_at, seq, None, handle)`.  Both take one `seq` from the same
+counter, so mixing them keeps insertion order among equal fire times.
 
 `reschedule` moves a pending event and dispatches it exactly where
 `cancel()` followed by `schedule()` would: it takes a fresh `seq` either
@@ -68,7 +77,7 @@ class EventLoop:
 
     def __init__(self) -> None:
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, EventHandle]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self.processed = 0
 
@@ -80,8 +89,18 @@ class EventLoop:
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(fire_at, seq, action)
-        heapq.heappush(self._heap, (fire_at, seq, handle))
+        heapq.heappush(self._heap, (fire_at, seq, None, handle))
         return handle
+
+    def post(self, fire_at: SimTime, fn: Callable[[object], None], arg: object) -> None:
+        """File fn(arg) at fire_at; the event cannot be cancelled."""
+        if fire_at < self.now:
+            raise ScheduleInPastError(
+                f"cannot schedule at {fire_at} us; clock is at {self.now} us"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, arg))
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> EventHandle:
         return self.schedule(self.now + delay, action)
@@ -115,15 +134,20 @@ class EventLoop:
         heappop = heapq.heappop
         dispatched = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, seq, handle = heappop(heap)
-            action = handle.action
+            fire_at, seq, fn, arg = heappop(heap)
+            if fn is not None:
+                self.now = fire_at
+                fn(arg)
+                dispatched += 1
+                continue
+            action = arg.action
             if action is None:
                 continue
-            if seq != handle.seq:
+            if seq != arg.seq:
                 # moved later by reschedule; file it under its current key
-                heapq.heappush(heap, (handle.fire_at, handle.seq, handle))
+                heapq.heappush(heap, (arg.fire_at, arg.seq, None, arg))
                 continue
-            handle.action = None
+            arg.action = None
             self.now = fire_at
             action()
             dispatched += 1
@@ -132,10 +156,13 @@ class EventLoop:
         return dispatched
 
     def pending(self) -> int:
-        return sum(1 for _, _, h in self._heap if h.action is not None)
+        """Posted events plus live handles; each live handle has one entry."""
+        return sum(1 for _, _, fn, arg in self._heap
+                   if fn is not None or arg.action is not None)
 
     def clear(self) -> None:
         """Drop every pending event, releasing the objects its action holds."""
-        for _, _, handle in self._heap:
-            handle.action = None
+        for _, _, fn, arg in self._heap:
+            if fn is None:
+                arg.action = None
         self._heap.clear()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,14 +88,18 @@ class BottleneckLink:
     each packet for its serialization time plus any ARQ penalty, then the
     packet travels one propagation half-RTT to its flow's sink.  Service
     is strictly one at a time, so delivery order equals acceptance order.
+
+    The queue's occupancy history, which `backlog_at` reads, is kept only
+    when the link is built with `record_backlog=True`.
     """
 
-    def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random):
+    def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
+                 record_backlog: bool = False):
         config.validate()
         self.loop = loop
         self.config = config
         self.rng = rng
-        self._queue: list[Packet] = []
+        self._queue: deque[Packet] = deque()
         self._busy = False
         self._sinks: dict[int, Callable[[Packet], None]] = {}
         # counters
@@ -103,7 +108,8 @@ class BottleneckLink:
         self.dropped_arq = 0
         self.delivered = 0
         self.per_flow_drops: dict[int, int] = {}
-        # backlog history as parallel arrays (time, queue length)
+        # backlog history as parallel arrays (time, queue length), on request
+        self.record_backlog = record_backlog
         self._backlog_t: list[SimTime] = [0]
         self._backlog_n: list[int] = [0]
 
@@ -132,17 +138,21 @@ class BottleneckLink:
                     self.per_flow_drops.get(packet.flow_id, 0) + 1)
                 return False
             self._queue.append(packet)
-            self._record_backlog()
+            if self.record_backlog:
+                self._record_backlog()
         else:
             self._start_service(packet)
         return True
 
-    def send_reverse(self, action: Callable[[], None]) -> None:
-        """Carry an ACK back to a sender: pure delay, no queueing."""
-        self.loop.schedule_in(self.one_way_us, action)
+    def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
+        """Carry an ACK back to a sender as fn(arg): pure delay, no queueing."""
+        loop = self.loop
+        loop.post(loop.now + self.one_way_us, fn, arg)
 
     def backlog_at(self, t: SimTime) -> int:
         """Queue occupancy at virtual time t, from the recorded history."""
+        if not self.record_backlog:
+            raise ValueError("backlog history is kept only with record_backlog=True")
         i = bisect_right(self._backlog_t, t) - 1
         return self._backlog_n[i] if i >= 0 else 0
 
@@ -173,21 +183,23 @@ class BottleneckLink:
         if cfg.residual_loss_prob > 0.0 and cfg.arq_max_retx > 0 and errors == cfg.arq_max_retx:
             # retransmission budget exhausted; the frame may be abandoned
             lost = self.rng.random() < cfg.residual_loss_prob
-        now = self.loop.now
-        self.loop.schedule(now + hold, self._service_done)
+        loop = self.loop
+        done_at = loop.now + hold
+        loop.post(done_at, self._service_done, packet)
         if lost:
             self.dropped_arq += 1
             self.per_flow_drops[packet.flow_id] = (
                 self.per_flow_drops.get(packet.flow_id, 0) + 1)
             return
-        self.loop.schedule(now + hold + self.one_way_us,
-                           lambda p=packet: self._deliver(p))
+        loop.post(done_at + self.one_way_us, self._deliver, packet)
 
-    def _service_done(self) -> None:
+    def _service_done(self, packet: Packet) -> None:
+        """The server lets go of packet and takes the next one in line."""
         self._busy = False
         if self._queue:
-            nxt = self._queue.pop(0)
-            self._record_backlog()
+            nxt = self._queue.popleft()
+            if self.record_backlog:
+                self._record_backlog()
             self._start_service(nxt)
 
     def _deliver(self, packet: Packet) -> None:

@@ -62,7 +62,7 @@ class _FlowPipe:
 
     def on_packet(self, packet: Packet) -> None:
         ack = self.receiver.on_segment(packet.seq, packet.payload_len)
-        self.link.send_reverse(lambda a=ack: self.sender.on_ack(a))
+        self.link.send_reverse(self.sender.on_ack, ack)
 
 
 def run_single(config: LabConfig, seed: int, run_index: int = 0,
@@ -76,7 +76,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     scenario = scenario or config.scenario
 
     loop = EventLoop()
-    link = BottleneckLink(loop, config.link, random.Random(seed))
+    link = BottleneckLink(loop, config.link, random.Random(seed),
+                          record_backlog=keep_backlog_probe)
     stagger_rng = random.Random(f"{seed}/stagger")
 
     total_bytes = scenario.size_bytes if scenario.kind != SCENARIO_LONG else None

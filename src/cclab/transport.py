@@ -14,6 +14,7 @@ ACKs then skip the cursor over anything the receiver already holds.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -116,17 +117,14 @@ class TcpReceiver:
 
 
 class Segment:
-    __slots__ = ("seq", "length", "sent_at", "retx_count")
+    __slots__ = ("seq", "length", "end", "sent_at", "retx_count")
 
     def __init__(self, seq: int, length: int, sent_at: SimTime):
         self.seq = seq
         self.length = length
+        self.end = seq + length
         self.sent_at = sent_at
         self.retx_count = 0
-
-    @property
-    def end(self) -> int:
-        return self.seq + self.length
 
 
 class TcpSender:
@@ -156,8 +154,8 @@ class TcpSender:
         self._inflation_segments = 0
         self._partial_seen = False
 
-        self._segments: list[Segment] = []   # sent but not cumulatively acked
-        self._resend_idx = 0                 # cursor into _segments after a rewind
+        self._segments: deque[Segment] = deque()   # sent but not cumulatively acked
+        self._resend_idx = 0                       # cursor into _segments after a rewind
 
         self.estimator = RtoEstimator(config.rto_min_us, config.rto_max_us)
         self.rto_current_us = config.rto_initial_us
@@ -215,10 +213,9 @@ class TcpSender:
     # sending
 
     def maybe_send(self) -> None:
-        cfg = self.config
-        mss = cfg.mss
+        # nothing below moves the window: sends only reach the link
+        window_bytes = self.effective_window_segments() * self.config.mss
         while True:
-            window_bytes = self.effective_window_segments() * mss
             if self._resend_idx < len(self._segments):
                 seg = self._segments[self._resend_idx]
                 if seg.end - self.snd_una > window_bytes:
@@ -231,7 +228,7 @@ class TcpSender:
             length = self._app_next_len()
             if length <= 0:
                 return
-            if self.outstanding_bytes() + length > window_bytes:
+            if self.snd_nxt - self.snd_una + length > window_bytes:
                 return
             seg = Segment(self.snd_nxt, length, self.loop.now)
             self._segments.append(seg)
@@ -369,7 +366,7 @@ class TcpSender:
         dropped = 0
         segs = self._segments
         while segs and segs[0].end <= ack:
-            segs.pop(0)
+            segs.popleft()
             dropped += 1
         if dropped:
             self._resend_idx = max(0, self._resend_idx - dropped)

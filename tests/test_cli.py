@@ -76,6 +76,16 @@ def test_stats_replay_confirms_summary(run_dir, capsys):
     assert "fresh replay" in stdout
 
 
+def test_stats_replay_confirms_a_two_flow_short_transfer(tmp_path, capsys):
+    out = tmp_path / "short"
+    rc, _, _ = run_cli(capsys, "run", "--variant", "cubic", "--flows", "2",
+                       "--size", "50", "--seed", "4", "--out", str(out))
+    assert rc == 0
+    rc, stdout, _ = run_cli(capsys, "stats", str(out), "--replay")
+    assert rc == 0
+    assert "fresh replay" in stdout
+
+
 def test_replay_catches_tamper_that_arithmetic_misses(run_dir, capsys):
     # the timeout count is a raw counter, not derivable from the other
     # stored fields, so only a re-simulation can contradict it
@@ -104,6 +114,20 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
                             "--out", str(tmp_path / "out"))
     assert rc == 2
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 3\n",                                   # no section header
+    "[experiment]\nseed = 3\nseed = 4\n",          # a key set twice
+], ids=["no_section_header", "duplicate_key"])
+def test_unparsable_config_is_a_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    rc, _, stderr = run_cli(capsys, "run", "--config", str(bad),
+                            "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
 
 
 def test_matrix_smoke(tmp_path, capsys):

@@ -66,6 +66,8 @@ def test_pending_excludes_cancelled():
     handle = loop.schedule(6, lambda: None)
     handle.cancel()
     assert loop.pending() == 1
+    loop.post(6, lambda _: None, None)
+    assert loop.pending() == 2
 
 
 def test_handler_reentrancy_keeps_clock_monotone():
@@ -197,10 +199,85 @@ def test_clear_drops_pending_events():
     hits = []
     loop.schedule(5, lambda: hits.append(5))
     loop.reschedule(loop.schedule(6, lambda: hits.append(6)), 8)
+    loop.post(7, hits.append, 7)
     loop.clear()
     assert loop.pending() == 0
     assert loop.run_until(10) == 0
     assert hits == []
+
+
+# one op: (kind, index into the filed events, amount in us)
+_MIXED_OPS = st.lists(st.tuples(
+    st.sampled_from(("schedule", "post", "cancel", "later", "earlier", "run")),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=20)), max_size=80)
+
+
+@given(_MIXED_OPS)
+def test_posts_dispatch_like_scheduled_events(ops):
+    mixed, plain = EventLoop(), EventLoop()
+    mixed_log, plain_log = [], []
+    events = []       # [handle in `mixed` or None if posted, handle in `plain`]
+    cancelled = set()
+
+    def live(i):
+        return i not in cancelled and i not in {tag for _, tag in plain_log}
+
+    for kind, pick, amount in ops:
+        if kind in ("schedule", "post") or not events:
+            tag = len(events)
+            at = mixed.now + amount
+            if kind == "post":
+                mixed.post(at, lambda t: mixed_log.append((mixed.now, t)), tag)
+                first = None
+            else:
+                first = mixed.schedule(at, lambda t=tag: mixed_log.append((mixed.now, t)))
+            events.append([first, plain.schedule(
+                at, lambda t=tag: plain_log.append((plain.now, t)))])
+        elif kind == "run":
+            mixed.run_until(mixed.now + amount)
+            plain.run_until(plain.now + amount)
+        else:
+            i = pick % len(events)
+            pair = events[i]
+            if pair[0] is None or not live(i):
+                continue    # a post cannot be cancelled or moved
+            if kind == "cancel":
+                pair[0].cancel()
+                pair[1].cancel()
+                cancelled.add(i)
+                continue
+            fire_at = pair[1].fire_at
+            to = fire_at + amount + 1 if kind == "later" else max(
+                mixed.now, fire_at - amount - 1)
+            pair[0] = mixed.reschedule(pair[0], to)
+            pair[1].cancel()
+            pair[1] = plain.schedule(to, lambda t=i: plain_log.append((plain.now, t)))
+        assert mixed.pending() == plain.pending()
+
+    mixed.run_until(mixed.now + 1_000)
+    plain.run_until(plain.now + 1_000)
+    assert mixed_log == plain_log
+    assert mixed.processed == plain.processed == len(plain_log)
+    assert mixed.pending() == 0
+
+
+def test_post_calls_fn_with_arg_in_insertion_order():
+    loop = EventLoop()
+    order = []
+    loop.schedule(ms(1), lambda: order.append("scheduled"))
+    loop.post(ms(1), order.append, "posted")
+    loop.post(0, order.append, "first")
+    assert loop.run_until(ms(1)) == 3
+    assert order == ["first", "scheduled", "posted"]
+
+
+def test_post_into_the_past_raises():
+    loop = EventLoop()
+    loop.run_until(10)
+    with pytest.raises(ScheduleInPastError):
+        loop.post(9, lambda _: None, None)
+    assert loop.pending() == 0
 
 
 def test_ms_and_seconds_round_to_microseconds():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cclab.engine import EventLoop, ms, seconds
 from cclab.link import BottleneckLink, LinkConfig, Packet, arq_error_count, arq_penalty
 
@@ -16,11 +18,11 @@ class ScriptedRng:
         return self._draws.pop(0) if self._draws else 1.0
 
 
-def make_link(loop, **overrides):
+def make_link(loop, record_backlog=False, **overrides):
     merged = dict(arq_frame_error_prob=0.0)
     merged.update(overrides)
     cfg = LinkConfig(**merged)
-    return BottleneckLink(loop, cfg, random.Random(1))
+    return BottleneckLink(loop, cfg, random.Random(1), record_backlog=record_backlog)
 
 
 def pkt(seq, flow_id=0, wire_len=1500):
@@ -153,7 +155,7 @@ def test_conservation_after_drain_with_random_errors():
 
 def test_backlog_history_lookup():
     loop = EventLoop()
-    link = make_link(loop, rate_bps=1_500_000)
+    link = make_link(loop, rate_bps=1_500_000, record_backlog=True)
     link.register_sink(0, lambda p: None)
     loop.schedule(0, lambda: [link.offer(pkt(i)) for i in range(4)])
     loop.run_until(seconds(1))
@@ -164,10 +166,20 @@ def test_backlog_history_lookup():
     assert link.backlog_at(seconds(1)) == 0
 
 
+def test_backlog_lookup_without_history_raises():
+    loop = EventLoop()
+    link = make_link(loop)
+    link.register_sink(0, lambda p: None)
+    loop.schedule(0, lambda: [link.offer(pkt(i)) for i in range(4)])
+    loop.run_until(seconds(1))
+    with pytest.raises(ValueError, match="record_backlog"):
+        link.backlog_at(0)
+
+
 def test_reverse_channel_is_pure_delay():
     loop = EventLoop()
     link = make_link(loop, prop_rtt_us=100_000)
     fired = []
-    loop.schedule(ms(1), lambda: link.send_reverse(lambda: fired.append(loop.now)))
+    loop.schedule(ms(1), lambda: link.send_reverse(lambda ack: fired.append((loop.now, ack)), 7))
     loop.run_until(seconds(1))
-    assert fired == [ms(51)]
+    assert fired == [(ms(51), 7)]

@@ -363,7 +363,7 @@ def test_short_transfer_completes_and_reports():
 
     def sink(packet):
         ack = rcv.on_segment(packet.seq, packet.payload_len)
-        link.send_reverse(lambda a=ack: sender.on_ack(a))
+        link.send_reverse(sender.on_ack, ack)
 
     link.register_sink(0, sink)
     sender.start(0)
@@ -387,7 +387,7 @@ def test_clean_channel_run_keeps_sender_and_receiver_consistent():
 
     def sink(packet):
         ack = rcv.on_segment(packet.seq, packet.payload_len)
-        link.send_reverse(lambda a=ack: sender.on_ack(a))
+        link.send_reverse(sender.on_ack, ack)
 
     link.register_sink(0, sink)
     sender.start(0)
