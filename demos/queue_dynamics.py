@@ -1,8 +1,7 @@
 """Why the bandwidth-estimating decrease keeps the buffer short.
 
 Runs the same 180 s single-flow experiment under Westwood+ and under
-NewReno, keeping the bottleneck link so its queue history can be
-replayed.  After every fast-retransmit decrease we read the queue
+NewReno, keeping the bottleneck queue's history so it can be replayed.  After every fast-retransmit decrease we read the queue
 occupancy one RTT later: the BDP-sized decrease drains the buffer
 almost completely, the blind halving leaves a standing backlog.
 """
@@ -10,6 +9,7 @@ almost completely, the blind halving leaves a standing backlog.
 import statistics
 
 from cclab.config import LabConfig
+from cclab.metrics import backlog_at
 from cclab.runner import run_single
 
 config = LabConfig()
@@ -20,15 +20,14 @@ for variant in ("westwood+", "newreno"):
     for seed in (1, 2, 3):
         result = run_single(config, seed=seed, variant=variant,
                             keep_backlog_probe=True)
-        link = result.backlog_probe
-        rtt_samples = result.flows[0].rtt_samples
-        for (t, kind, pre, post, _ss) in result.decrease_events[0]:
+        flow = result.flows[0]
+        for (t, kind, pre, post, _ss) in flow.decreases:
             if kind != "3dupack":
                 continue
-            rtt = next((r for (ts, r) in reversed(rtt_samples) if ts <= t), None)
+            rtt = next((r for (ts, r) in reversed(flow.rtt_samples) if ts <= t), None)
             if rtt is None:
                 continue
-            residuals.append(link.backlog_at(t + rtt))
+            residuals.append(backlog_at(result.backlog_probe, t + rtt))
     print(f"{variant}: {len(residuals)} decreases over 3 seeds")
     print(f"  queue one RTT after the decrease: min {min(residuals)}, "
           f"max {max(residuals)}, mean {statistics.mean(residuals):.1f} "

@@ -34,5 +34,5 @@ for row in result.timeseries:
 
 print()
 print("loss responses seen by the sender")
-for (t_us, kind, pre, post, _ss) in result.decrease_events[0]:
+for (t_us, kind, pre, post, _ss) in flow.decreases:
     print(f"  t={t_us / 1e6:6.2f} s  {kind:9s} cwnd {pre:6.2f} -> {post:6.2f}")

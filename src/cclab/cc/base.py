@@ -5,8 +5,8 @@ rational arithmetic is not usable here: chaining cwnd += 1/cwnd squares
 the denominator on every ACK, so the exact fraction outgrows memory
 within a few dozen ACKs.  Integer micro-segments keep every update
 exact to one quantum, free of float drift, and printable as a short
-decimal.  Cubic overrides the representation with a float window
-because its trajectory is defined by a closed-form curve.
+decimal.  Cubic does not use it: its trajectory is a closed-form
+curve, so it keeps a float window and nothing else.
 """
 
 from __future__ import annotations

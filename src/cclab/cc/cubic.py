@@ -4,13 +4,14 @@ The window follows w(t) = C * (t - K)^3 + w_max in real time since the
 last reduction, with K chosen so the curve starts from the post-loss
 window and crosses w_max with zero slope at t = K.  An optional AIMD
 shadow window keeps growth at least as fast as a plain TCP flow would
-manage (the TCP-friendly region).
+manage (the TCP-friendly region).  The window is a float number of
+segments, the controller's only representation of it.
 """
 
 from __future__ import annotations
 
 from .base import Controller
-from .params import SCALE, CubicParams
+from .params import CubicParams
 
 
 class Cubic(Controller):
@@ -18,20 +19,17 @@ class Cubic(Controller):
 
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: CubicParams | None = None):
-        super().__init__(initial_cwnd, initial_ssthresh)
+        # no super().__init__(): the float window replaces the fixed-point one
         self.params = params or CubicParams()
-        self._cwnd = float(initial_cwnd)   # authoritative window, segments
+        self._cwnd = float(initial_cwnd)   # segments
         self._ssthresh = float(initial_ssthresh)
         self.epoch_valid = False
         self.max_win = 0.0
         self.k_seconds = 0.0
         self.epoch_start_us = 0
         self._w_est = 0.0
-        # (now_us, epoch_start_us, max_win, k_seconds, cwnd) per growth ACK,
-        # kept so the trajectory can be replayed against the closed form
-        self.curve_samples: list[tuple[int, int, float, float, float]] = []
 
-    # float window overrides the fixed-point representation
+    # the float window
 
     def cwnd_segments(self) -> float:
         return self._cwnd
@@ -68,8 +66,6 @@ class Cubic(Controller):
                 target = self._w_est
         if target > self._cwnd:
             self._cwnd = target
-        self.curve_samples.append(
-            (now_us, self.epoch_start_us, self.max_win, self.k_seconds, self._cwnd))
 
     def _start_epoch(self, now_us: int, pre_loss: float) -> None:
         p = self.params

@@ -18,6 +18,7 @@ import os
 import sys
 
 from . import metrics
+from .cc import VARIANTS
 from .config import SHORT_SIZES_KB, LabConfig, load_config, parse_scenario
 from .matrix import run_matrix, write_matrix_outputs
 from .runner import run_single, summary_dict, write_run_outputs
@@ -142,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--config", help="INI config file")
     run_p.add_argument("--seed", type=int, help="base RNG seed")
-    run_p.add_argument("--variant", choices=["newreno", "westwood+", "westwood",
-                                             "bic", "cubic"],
-                       help="congestion control variant")
+    run_p.add_argument("--variant",
+                       help=f"congestion control variant: {', '.join(VARIANTS)}")
     run_p.add_argument("--flows", type=int, help="number of concurrent flows")
     run_p.add_argument("--duration", type=float,
                        help="long-lived scenario duration in seconds")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
-from .cc import (BicParams, CubicParams, NewRenoParams, WestwoodParams,
+from .cc import (VARIANTS, BicParams, CubicParams, NewRenoParams, WestwoodParams,
                  canonical_variant)
 from .link import LinkConfig
 from .transport import TransportConfig
@@ -81,7 +81,7 @@ class LabConfig:
     westwood: WestwoodParams = field(default_factory=WestwoodParams)
     bic: BicParams = field(default_factory=BicParams)
     cubic: CubicParams = field(default_factory=CubicParams)
-    matrix_variants: tuple[str, ...] = ("newreno", "westwood+", "bic", "cubic")
+    matrix_variants: tuple[str, ...] = VARIANTS
     matrix_flows: tuple[int, ...] = (1, 2, 3, 4)
     matrix_scenarios: tuple[str, ...] = (SCENARIO_LONG,)
     matrix_runs: int = 5
@@ -98,14 +98,17 @@ class LabConfig:
             raise ValueError("sample interval must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        self.scenario.validate()
         self.link.validate()
         self.transport.validate()
         self.matrix_variants = tuple(canonical_variant(v) for v in self.matrix_variants)
         if any(f < 1 for f in self.matrix_flows):
             raise ValueError("matrix flow counts must be positive")
-        for token in self.matrix_scenarios:
-            self.matrix_scenario(token).validate()
+        specs = [self.scenario, *map(self.matrix_scenario, self.matrix_scenarios)]
+        for spec in specs:
+            spec.validate()
+        if any(s.kind == SCENARIO_LONG for s in specs) and specs[0].duration_s <= self.stagger_s:
+            raise ValueError(f"duration_s = {specs[0].duration_s:g} must exceed stagger_s = "
+                             f"{self.stagger_s:g}: a flow may start after the run ends")
 
     def matrix_scenario(self, token: str) -> ScenarioSpec:
         """The spec of a `[matrix] scenarios` token: it lasts `duration_s`."""

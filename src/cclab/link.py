@@ -14,7 +14,6 @@ ACKs ride a separate delay-only reverse channel and never queue.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -89,8 +88,9 @@ class BottleneckLink:
     packet travels one propagation half-RTT to its flow's sink.  Service
     is strictly one at a time, so delivery order equals acceptance order.
 
-    The queue's occupancy history, which `backlog_at` reads, is kept only
-    when the link is built with `record_backlog=True`.
+    The queue's occupancy history is kept only when the link is built
+    with `record_backlog=True`: `backlog_history` then holds parallel
+    lists (times, queue lengths), which `metrics.backlog_at` reads.
     """
 
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
@@ -108,10 +108,8 @@ class BottleneckLink:
         self.dropped_arq = 0
         self.delivered = 0
         self.per_flow_drops: dict[int, int] = {}
-        # backlog history as parallel arrays (time, queue length), on request
-        self.record_backlog = record_backlog
-        self._backlog_t: list[SimTime] = [0]
-        self._backlog_n: list[int] = [0]
+        self.backlog_history: tuple[list[SimTime], list[int]] | None = (
+            ([0], [0]) if record_backlog else None)
 
     def register_sink(self, flow_id: int, sink: Callable[[Packet], None]) -> None:
         self._sinks[flow_id] = sink
@@ -138,7 +136,7 @@ class BottleneckLink:
                     self.per_flow_drops.get(packet.flow_id, 0) + 1)
                 return False
             self._queue.append(packet)
-            if self.record_backlog:
+            if self.backlog_history is not None:
                 self._record_backlog()
         else:
             self._start_service(packet)
@@ -148,13 +146,6 @@ class BottleneckLink:
         """Carry an ACK back to a sender as fn(arg): pure delay, no queueing."""
         loop = self.loop
         loop.post(loop.now + self.one_way_us, fn, arg)
-
-    def backlog_at(self, t: SimTime) -> int:
-        """Queue occupancy at virtual time t, from the recorded history."""
-        if not self.record_backlog:
-            raise ValueError("backlog history is kept only with record_backlog=True")
-        i = bisect_right(self._backlog_t, t) - 1
-        return self._backlog_n[i] if i >= 0 else 0
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -167,11 +158,12 @@ class BottleneckLink:
 
     def _record_backlog(self) -> None:
         now = self.loop.now
-        if self._backlog_t[-1] == now:
-            self._backlog_n[-1] = len(self._queue)
+        times, counts = self.backlog_history
+        if times[-1] == now:
+            counts[-1] = len(self._queue)
         else:
-            self._backlog_t.append(now)
-            self._backlog_n.append(len(self._queue))
+            times.append(now)
+            counts.append(len(self._queue))
 
     def _start_service(self, packet: Packet) -> None:
         cfg = self.config
@@ -198,7 +190,7 @@ class BottleneckLink:
         self._busy = False
         if self._queue:
             nxt = self._queue.popleft()
-            if self.record_backlog:
+            if self.backlog_history is not None:
                 self._record_backlog()
             self._start_service(nxt)
 

@@ -10,6 +10,7 @@ linear interpolation between order statistics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -112,6 +113,15 @@ def box_whisker(samples: list[float]) -> BoxWhisker:
                       sum(ordered) / len(ordered), len(ordered))
 
 
+def backlog_at(history: tuple[list[int], list[int]] | None, t: int) -> int:
+    """Queue occupancy at virtual time t from a link's (times, counts) history."""
+    if history is None:
+        raise ValueError("backlog history is kept only with record_backlog=True")
+    times, counts = history
+    i = bisect_right(times, t) - 1
+    return counts[i] if i >= 0 else 0
+
+
 def representative_flow(vectors: list[tuple[float, ...]], normalize: bool = False) -> int:
     """Index of the run closest (euclidean) to the componentwise mean.
 
@@ -156,6 +166,8 @@ class FlowMetrics:
     mean_rtt_us: float
     rtt_samples: list[tuple[int, int]] = field(repr=False, default_factory=list)
     retx_bursts: list[int] = field(default_factory=list)
+    # (t_us, kind, cwnd before, cwnd after, ssthresh after) per window decrease
+    decreases: list[tuple] = field(repr=False, default_factory=list)
 
     @property
     def goodput_kbps(self) -> float:

@@ -42,9 +42,9 @@ class RunResult:
     link_offered: int
     link_dropped: int
     link_delivered: int
-    decrease_events: list[list[tuple]] = field(repr=False, default_factory=list)
     timeseries: list[tuple] = field(repr=False, default_factory=list)
-    backlog_probe: object = field(repr=False, default=None)
+    # the link's (times, queue lengths) history, with keep_backlog_probe
+    backlog_probe: tuple[list[int], list[int]] | None = field(repr=False, default=None)
 
     @property
     def per_flow_goodput_bps(self) -> list[float]:
@@ -129,7 +129,6 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         sample = None
 
     flow_metrics = []
-    decreases = []
     for s in senders:
         if s.first_send_at is None:
             raise RuntimeError(f"flow {s.flow_id} never started sending")
@@ -159,8 +158,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             mean_rtt_us=mean_rtt,
             rtt_samples=samples,
             retx_bursts=[n for _, n in s.episodes],
+            decreases=s.decreases,
         ))
-        decreases.append(list(s.decreases))
 
     goodputs = [m.goodput_bps for m in flow_metrics]
     return RunResult(
@@ -173,9 +172,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         link_offered=link.offered,
         link_dropped=link.dropped_tail + link.dropped_arq,
         link_delivered=link.delivered,
-        decrease_events=decreases,
         timeseries=timeseries,
-        backlog_probe=link if keep_backlog_probe else None,
+        backlog_probe=link.backlog_history,
     )
 
 

@@ -168,7 +168,6 @@ class TcpSender:
         self.bytes_sent = 0
         self.timeouts = 0
         self.first_send_at: Optional[SimTime] = None
-        self.last_progress_at: Optional[SimTime] = None
         self.done_at: Optional[SimTime] = None
         self.rtt_samples: list[tuple[SimTime, SimTime]] = []
         self.decreases: list[tuple[SimTime, str, float, float, float]] = []
@@ -244,8 +243,7 @@ class TcpSender:
         self.bytes_sent += seg.length
         if retx:
             self.retransmissions += 1
-            seg.retx_count += 1
-            seg.sent_at = now
+            seg.retx_count += 1   # Karn: its sent_at is never read again
             if self._episode_segs is not None:
                 self._episode_segs.add(seg.seq)
         else:
@@ -296,14 +294,12 @@ class TcpSender:
         self.dupack_count = 0
         self._recover_guard = self.snd_max
         self.snd_nxt = self.snd_una
-        self._resend_idx = 0
         self._probe = None   # its timing is void once the cursor rewinds
         if self._episode_segs is None:
             self._episode_segs = set()
             self._episode_point = self.snd_max
-        if self._segments:
-            self._transmit(self._segments[0], retx=True)
-            self._resend_idx = max(self._resend_idx, 1)
+        self._retransmit_front()
+        self._resend_idx = min(1, len(self._segments))   # rewound past the front
         self._restart_timer()  # _transmit may have armed; keep exactly one live timer
 
     # receiving ACKs
@@ -351,7 +347,6 @@ class TcpSender:
     def _on_new_ack(self, ack: int, now: SimTime) -> None:
         newly = ack - self.snd_una
         self.snd_una = ack
-        self.last_progress_at = now
         if ack > self.snd_nxt:
             self.snd_nxt = ack   # receiver already held part of the rewound range
         probe = self._probe

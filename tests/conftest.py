@@ -7,6 +7,7 @@ criterion that reads them.
 
 import pytest
 
+from cclab.cc import Cubic
 from cclab.config import LabConfig, parse_scenario
 from cclab.runner import run_single
 
@@ -16,6 +17,25 @@ SINGLE_FLOW_SEEDS = tuple(range(1, 21))
 MULTI_FLOW_SEEDS = tuple(range(1, 6))
 SHORT_SEEDS = tuple(range(1, 11))
 PROBE_SEEDS = (1, 2, 3)
+
+
+class RecordingCubic(Cubic):
+    """Cubic that logs (now_us, epoch_start_us, max_win, k_seconds, cwnd)
+    after every growth ACK the curve drives: outside slow start, with an
+    epoch anchored by a fast retransmit.  The trajectory can then be
+    replayed against the closed form.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.curve_samples: list[tuple[int, int, float, float, float]] = []
+
+    def on_ack_growth(self, now_us: int) -> None:
+        on_curve = self.epoch_valid and not self.in_slow_start()
+        super().on_ack_growth(now_us)
+        if on_curve:
+            self.curve_samples.append((now_us, self.epoch_start_us, self.max_win,
+                                       self.k_seconds, self.cwnd_segments()))
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +80,7 @@ def short_transfer_campaign():
 
 @pytest.fixture(scope="session")
 def backlog_probe_runs():
-    """variant -> single-flow runs that kept the link for backlog replay."""
+    """variant -> single-flow runs that kept the queue history for replay."""
     config = LabConfig()
     return {
         variant: [run_single(config, seed=seed, variant=variant,

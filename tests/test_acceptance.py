@@ -11,18 +11,17 @@ import statistics
 import time
 from fractions import Fraction
 
-from cclab.cc import make_controller
 from cclab.cc.bic import Bic
 from cclab.cc.cubic import Cubic
 from cclab.cc.params import SCALE, BicParams, CubicParams
 from cclab.config import LabConfig
 from cclab.engine import EventLoop, seconds
 from cclab.link import BottleneckLink, arq_penalty
-from cclab.metrics import box_whisker, jain_fairness, representative_flow
+from cclab.metrics import backlog_at, box_whisker, jain_fairness, representative_flow
 from cclab.runner import _FlowPipe, run_single, write_run_outputs
 from cclab.transport import TcpSender
 
-from conftest import VARIANTS
+from conftest import VARIANTS, RecordingCubic
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -43,10 +42,9 @@ def test_criterion_01_cubic_closed_form():
     started = time.perf_counter()
     loop = EventLoop()
     link = BottleneckLink(loop, config.link, random.Random(1))
-    controller = make_controller(
-        "cubic", config.transport.initial_cwnd_segments,
-        config.transport.initial_ssthresh_segments, config.transport.mss,
-        config.params_for("cubic"))
+    controller = RecordingCubic(
+        config.transport.initial_cwnd_segments,
+        config.transport.initial_ssthresh_segments, config.params_for("cubic"))
     sender = TcpSender(loop, 0, config.transport, controller, link)
     sender.app_stop_us = seconds(60)
     pipe = _FlowPipe(loop, link, sender)
@@ -85,8 +83,8 @@ def test_criterion_02_multiplicative_decrease_ratio(single_flow_campaign):
         checked = 0
         worst_quanta = 0
         for run in single_flow_campaign[variant]:
-            for events in run.decrease_events:
-                for (_, kind, pre, post, _ss) in events:
+            for flow in run.flows:
+                for (_, kind, pre, post, _ss) in flow.decreases:
                     if kind != "3dupack":
                         continue
                     pre_fp = round(pre * SCALE)
@@ -147,15 +145,14 @@ def test_criterion_04_queue_clearing_after_decrease(backlog_probe_runs):
     for variant, runs in backlog_probe_runs.items():
         values = []
         for run in runs:
-            link = run.backlog_probe
             samples = run.flows[0].rtt_samples
-            for (t, kind, _pre, _post, _ss) in run.decrease_events[0]:
+            for (t, kind, _pre, _post, _ss) in run.flows[0].decreases:
                 if kind != "3dupack":
                     continue
                 rtt = next((r for (ts, r) in reversed(samples) if ts <= t), None)
                 if rtt is None:
                     continue
-                values.append(link.backlog_at(t + rtt))
+                values.append(backlog_at(run.backlog_probe, t + rtt))
         residuals[variant] = values
 
     ww, nr = residuals["westwood+"], residuals["newreno"]

@@ -116,6 +116,25 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     assert "error:" in stderr
 
 
+def test_every_variant_name_the_config_accepts_runs(tmp_path, capsys):
+    rc, stdout, _ = run_cli(capsys, "run", "--variant", "westwoodplus",
+                            "--duration", "3", "--out", str(tmp_path / "out"))
+    assert rc == 0
+    assert "flow 0 [westwood+]:" in stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--variant", "vegas"), "error: unknown variant 'vegas'"),
+    # the default stagger_s = 1 could start a flow after a 0.3 s run ends
+    (("--duration", "0.3", "--seed", "4"), "error: duration_s = 0.3 must exceed stagger_s = 1"),
+], ids=["unknown_variant", "run_shorter_than_stagger"])
+def test_bad_run_arguments_are_usage_errors(tmp_path, capsys, args, message):
+    rc, _, stderr = run_cli(capsys, "run", *args, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [
     "seed = 3\n",                                   # no section header
     "[experiment]\nseed = 3\nseed = 4\n",          # a key set twice

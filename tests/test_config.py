@@ -162,6 +162,25 @@ def test_validation_rejects_bad_fields():
         load_config(text="[matrix]\nscenarios = sideways\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[experiment]\nduration_s = 0.3\n",
+    "[experiment]\nduration_s = 5\nstagger_s = 5\n",
+    # a short experiment, but the default matrix sweep is long-lived
+    "[experiment]\nscenario = short:50\nduration_s = 0.5\n",
+    "[experiment]\nscenario = short:50\nduration_s = 0.5\n"
+    "[matrix]\nscenarios = short:50, long_lived\n",
+], ids=["default_stagger", "equal", "matrix_default", "matrix_token"])
+def test_long_lived_runs_must_outlast_the_stagger(text):
+    with pytest.raises(ValueError, match="duration_s = .* stagger_s = "):
+        load_config(text=text)
+
+
+def test_short_transfers_alone_ignore_the_duration():
+    cfg = load_config(text="[experiment]\nscenario = short:50\nduration_s = 0.5\n"
+                           "[matrix]\nscenarios = short:50\n")
+    assert cfg.scenario.duration_s == 0.5
+
+
 def test_infinite_ssthresh_round_trips():
     cfg = load_config(text="[transport]\ninitial_ssthresh = inf\n")
     assert cfg.transport.initial_ssthresh_segments == float("inf")

@@ -7,9 +7,11 @@ import pytest
 from cclab.cc import Cubic
 from cclab.cc.params import CubicParams
 
+from conftest import RecordingCubic
 
-def make_after_loss(pre=100.0, now_us=0, **params):
-    ctrl = Cubic(2, 1.0, CubicParams(**params))
+
+def make_after_loss(pre=100.0, now_us=0, cls=Cubic, **params):
+    ctrl = cls(2, 1.0, CubicParams(**params))
     ctrl._cwnd = pre
     ctrl._ssthresh = 1.0
     ctrl.on_3dupack(now_us)
@@ -145,8 +147,8 @@ def test_slow_start_adds_one_segment():
 
 
 def test_curve_samples_record_the_epoch_geometry():
-    ctrl = make_after_loss(100.0, now_us=500_000, tcp_friendly=False,
-                           fast_convergence=False)
+    ctrl = make_after_loss(100.0, now_us=500_000, cls=RecordingCubic,
+                           tcp_friendly=False, fast_convergence=False)
     ctrl.on_ack_growth(600_000)
     ctrl.on_ack_growth(700_000)
     assert len(ctrl.curve_samples) == 2
@@ -156,6 +158,12 @@ def test_curve_samples_record_the_epoch_geometry():
         assert k == ctrl.k_seconds
         assert cwnd == pytest.approx(
             ctrl.window_at((now_us - epoch_start) / 1e6), abs=1e-12)
+
+
+def test_the_float_window_is_the_only_representation():
+    ctrl = Cubic(2, 44.0)
+    assert not hasattr(ctrl, "cwnd_fp")
+    assert not hasattr(ctrl, "ssthresh_fp")
 
 
 def test_k_shrinks_with_smaller_b():

@@ -8,7 +8,9 @@ same build, so it cannot see a change that alters results the same way
 twice.  These hashes pin the bytes across builds: a refactor or a
 speed-up that moves a single event changes them.  The 4-flow points see
 dozens of timeouts and fast retransmits, so the timer and recovery
-paths are covered.
+paths are covered.  The ARQ-loss points make frames that exhaust their
+link-layer retransmissions get abandoned, which no default run does:
+they drop packets at the server and time out on every flow.
 """
 
 import hashlib
@@ -41,6 +43,18 @@ GOLDEN = {
 }
 
 
+# the same points run with ARQ_LOSS_LINK appended to their config
+GOLDEN_ARQ_LOSS = {
+    ("newreno", 2, 5, 60, None):
+        "7a70f81bb79de840a3e85cb087b67bdf5582cf070865716c59034dd66bba4ba4",
+    ("cubic", 2, 5, 60, None):
+        "5298418e9802b5fd39c436058b1106f02f0ccbe5fe755d187018beb1e149c0b1",
+}
+
+ARQ_LOSS_LINK = ("[link]\narq_frame_error_prob = 0.05\narq_max_retx = 2\n"
+                 "residual_loss_prob = 0.5\n")
+
+
 def _config_text(variant, flows, seed, duration_s, size_kb):
     text = f"[experiment]\nvariant = {variant}\nflows = {flows}\nseed = {seed}\n"
     if size_kb is None:
@@ -48,12 +62,23 @@ def _config_text(variant, flows, seed, duration_s, size_kb):
     return text + f"scenario = short\nsize_kb = {size_kb}\n"
 
 
-@pytest.mark.parametrize("point", list(GOLDEN), ids=lambda p: "-".join(map(str, p)))
-def test_outputs_match_golden_hash(point, tmp_path):
-    cfg = load_config(text=_config_text(*point))
+def _output_hash(text, tmp_path):
+    cfg = load_config(text=text)
     result = run_single(cfg, seed=cfg.seed, capture_timeseries=True)
     write_run_outputs(str(tmp_path), cfg, result)
     digest = hashlib.sha256()
     for name in ("summary.json", "timeseries.csv"):
         digest.update((tmp_path / name).read_bytes())
-    assert digest.hexdigest() == GOLDEN[point]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("point", list(GOLDEN), ids=lambda p: "-".join(map(str, p)))
+def test_outputs_match_golden_hash(point, tmp_path):
+    assert _output_hash(_config_text(*point), tmp_path) == GOLDEN[point]
+
+
+@pytest.mark.parametrize("point", list(GOLDEN_ARQ_LOSS),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_arq_loss_outputs_match_golden_hash(point, tmp_path):
+    text = _config_text(*point) + ARQ_LOSS_LINK
+    assert _output_hash(text, tmp_path) == GOLDEN_ARQ_LOSS[point]

@@ -6,6 +6,7 @@ import pytest
 
 from cclab.engine import EventLoop, ms, seconds
 from cclab.link import BottleneckLink, LinkConfig, Packet, arq_error_count, arq_penalty
+from cclab.metrics import backlog_at
 
 
 class ScriptedRng:
@@ -160,10 +161,11 @@ def test_backlog_history_lookup():
     loop.schedule(0, lambda: [link.offer(pkt(i)) for i in range(4)])
     loop.run_until(seconds(1))
     # at t=0 one packet is in service and three queue behind it
-    assert link.backlog_at(0) == 3
-    assert link.backlog_at(ms(9)) == 2
-    assert link.backlog_at(ms(17)) == 1
-    assert link.backlog_at(seconds(1)) == 0
+    history = link.backlog_history
+    assert backlog_at(history, 0) == 3
+    assert backlog_at(history, ms(9)) == 2
+    assert backlog_at(history, ms(17)) == 1
+    assert backlog_at(history, seconds(1)) == 0
 
 
 def test_backlog_lookup_without_history_raises():
@@ -173,7 +175,7 @@ def test_backlog_lookup_without_history_raises():
     loop.schedule(0, lambda: [link.offer(pkt(i)) for i in range(4)])
     loop.run_until(seconds(1))
     with pytest.raises(ValueError, match="record_backlog"):
-        link.backlog_at(0)
+        backlog_at(link.backlog_history, 0)
 
 
 def test_reverse_channel_is_pure_delay():

@@ -2,12 +2,18 @@
 
 import gc
 import json
+import pickle
 
 import pytest
 
+from cclab.cc import Controller
 from cclab.config import ScenarioSpec, load_config
+from cclab.engine import EventLoop
+from cclab.link import BottleneckLink
+from cclab.metrics import backlog_at
 from cclab.runner import (TIMESERIES_COLUMNS, run_single, summary_dict,
                           write_run_outputs)
+from cclab.transport import TcpSender
 
 
 def short_config(**experiment):
@@ -126,7 +132,29 @@ def test_backlog_probe_is_optional():
     assert run_single(cfg, seed=2).backlog_probe is None
     probe = run_single(cfg, seed=2, keep_backlog_probe=True).backlog_probe
     assert probe is not None
-    assert probe.backlog_at(0) == 0
+    assert backlog_at(probe, 0) == 0
+
+
+def test_a_kept_history_is_plain_data():
+    cfg = short_config(duration_s=30, flows=2)
+    result = run_single(cfg, seed=2, keep_backlog_probe=True)
+    live = (BottleneckLink, EventLoop, TcpSender, Controller)
+    reached, seen, stack = [], set(), [result]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue   # a class leads to modules, not to the run's objects
+        seen.add(id(obj))
+        if isinstance(obj, live):
+            reached.append(type(obj).__name__)
+        stack.extend(gc.get_referents(obj))
+    assert reached == []
+
+    assert any(flow.decreases for flow in result.flows)
+    assert len(result.backlog_probe[0]) > 1
+    again = pickle.loads(pickle.dumps(result))
+    assert again.backlog_probe == result.backlog_probe
+    assert [f.decreases for f in again.flows] == [f.decreases for f in result.flows]
 
 
 @pytest.mark.parametrize("overrides", [
