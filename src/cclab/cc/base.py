@@ -52,7 +52,7 @@ class Controller:
     # events
 
     def on_ack_growth(self, now_us: int) -> None:
-        if self.in_slow_start():
+        if self.cwnd_fp < self.ssthresh_fp:   # in_slow_start(), inlined
             self.cwnd_fp += SCALE
         else:
             self._avoidance_growth(now_us)

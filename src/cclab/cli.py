@@ -19,7 +19,7 @@ import sys
 
 from . import metrics
 from .cc import VARIANTS
-from .config import SHORT_SIZES_KB, LabConfig, load_config, parse_scenario
+from .config import LabConfig, load_config, parse_scenario
 from .matrix import run_matrix, write_matrix_outputs
 from .runner import run_single, summary_dict, write_run_outputs
 
@@ -148,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--flows", type=int, help="number of concurrent flows")
     run_p.add_argument("--duration", type=float,
                        help="long-lived scenario duration in seconds")
-    run_p.add_argument("--size", type=int, choices=sorted(SHORT_SIZES_KB),
-                       help="short transfer size in KB (overrides --duration)")
+    run_p.add_argument("--size", type=int,
+                       help="short transfer size in KB, any positive size; the paper's "
+                            "are 50, 100, 500 and 1000 (overrides --duration)")
     run_p.add_argument("--out", help="output directory (default out)")
     run_p.set_defaults(func=cmd_run)
 

@@ -72,7 +72,8 @@ class EventLoop:
 
     The clock only moves forward.  Scheduling in the past is a hard
     error rather than a silent reorder.  Cancelled events are skipped
-    and do not count as processed.
+    and do not count as processed.  A delivered packet costs two posted
+    events: its service completion, which also runs its sink, and its ACK.
     """
 
     def __init__(self) -> None:

@@ -8,7 +8,9 @@ landing, and a full buffer overflows in a burst.  Only queue overflow
 drops packets, unless a residual loss probability is configured for
 packets that exhaust their retransmission budget.
 
-ACKs ride a separate delay-only reverse channel and never queue.
+Sinks run as a packet leaves the server: one event per packet.  Its ACK
+rides a delay-only reverse channel that never queues and also carries
+the forward hop's propagation delay.
 """
 
 from __future__ import annotations
@@ -50,16 +52,13 @@ class LinkConfig:
 
 
 class Packet:
-    __slots__ = ("flow_id", "seq", "payload_len", "wire_len", "is_retx", "sent_at")
+    __slots__ = ("flow_id", "seq", "payload_len", "wire_len")
 
-    def __init__(self, flow_id: int, seq: int, payload_len: int, wire_len: int,
-                 is_retx: bool, sent_at: SimTime):
+    def __init__(self, flow_id: int, seq: int, payload_len: int, wire_len: int):
         self.flow_id = flow_id
         self.seq = seq
         self.payload_len = payload_len
         self.wire_len = wire_len
-        self.is_retx = is_retx
-        self.sent_at = sent_at
 
 
 def arq_error_count(rng: random.Random, error_prob: float, max_retx: int) -> int:
@@ -84,9 +83,10 @@ class BottleneckLink:
     """Shared downlink: one serializer, one droptail queue, in-order delivery.
 
     Packets from all flows compete for the same queue.  The server holds
-    each packet for its serialization time plus any ARQ penalty, then the
-    packet travels one propagation half-RTT to its flow's sink.  Service
-    is strictly one at a time, so delivery order equals acceptance order.
+    each packet for its serialization time plus any ARQ penalty, then
+    hands it to its flow's sink, half a propagation RTT before it lands:
+    `delivered` counts it once it has landed.  Service is strictly one at
+    a time, so delivery order equals acceptance order.
 
     The queue's occupancy history is kept only when the link is built
     with `record_backlog=True`: `backlog_history` then holds parallel
@@ -106,7 +106,9 @@ class BottleneckLink:
         self.offered = 0
         self.dropped_tail = 0
         self.dropped_arq = 0
-        self.delivered = 0
+        self.one_way_us: SimTime = config.prop_rtt_us // 2
+        self._landed = 0
+        self._flying: deque[SimTime] = deque()   # landing times, oldest first
         self.per_flow_drops: dict[int, int] = {}
         self.backlog_history: tuple[list[SimTime], list[int]] | None = (
             ([0], [0]) if record_backlog else None)
@@ -123,8 +125,9 @@ class BottleneckLink:
         return wire_len * 8 * US_PER_S // self.config.rate_bps
 
     @property
-    def one_way_us(self) -> SimTime:
-        return self.config.prop_rtt_us // 2
+    def delivered(self) -> int:
+        """Packets that have reached the far end of the hop by now."""
+        return self._landed + sum(t <= self.loop.now for t in self._flying)
 
     def offer(self, packet: Packet) -> bool:
         """Hand a packet to the link.  Returns False on droptail drop."""
@@ -143,9 +146,9 @@ class BottleneckLink:
         return True
 
     def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
-        """Carry an ACK back to a sender as fn(arg): pure delay, no queueing."""
+        """Carry an ACK back as fn(arg) through both propagation halves; no queueing."""
         loop = self.loop
-        loop.post(loop.now + self.one_way_us, fn, arg)
+        loop.post(loop.now + 2 * self.one_way_us, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -168,32 +171,34 @@ class BottleneckLink:
     def _start_service(self, packet: Packet) -> None:
         cfg = self.config
         self._busy = True
-        ser = self.serialization_us(packet.wire_len)
         errors = arq_error_count(self.rng, cfg.arq_frame_error_prob, cfg.arq_max_retx)
-        hold = ser + errors * cfg.arq_retx_delay_us
-        lost = False
-        if cfg.residual_loss_prob > 0.0 and cfg.arq_max_retx > 0 and errors == cfg.arq_max_retx:
-            # retransmission budget exhausted; the frame may be abandoned
-            lost = self.rng.random() < cfg.residual_loss_prob
-        loop = self.loop
-        done_at = loop.now + hold
-        loop.post(done_at, self._service_done, packet)
-        if lost:
+        hold = self.serialization_us(packet.wire_len) + errors * cfg.arq_retx_delay_us
+        if (cfg.residual_loss_prob > 0.0 and cfg.arq_max_retx > 0 and errors == cfg.arq_max_retx
+                and self.rng.random() < cfg.residual_loss_prob):
+            # retransmission budget exhausted and the frame abandoned
             self.dropped_arq += 1
             self.per_flow_drops[packet.flow_id] = (
                 self.per_flow_drops.get(packet.flow_id, 0) + 1)
-            return
-        loop.post(done_at + self.one_way_us, self._deliver, packet)
+            packet = None
+        loop = self.loop
+        loop.post(loop.now + hold, self._service_done, packet)
 
-    def _service_done(self, packet: Packet) -> None:
-        """The server lets go of packet and takes the next one in line."""
+    def _service_done(self, packet: Packet | None) -> None:
+        """Free the server, serve the next packet, then deliver this one (None: lost)."""
         self._busy = False
         if self._queue:
             nxt = self._queue.popleft()
             if self.backlog_history is not None:
                 self._record_backlog()
             self._start_service(nxt)
+        if packet is not None:
+            self._deliver(packet)
 
     def _deliver(self, packet: Packet) -> None:
-        self.delivered += 1
+        now = self.loop.now
+        flying = self._flying
+        while flying and flying[0] <= now:
+            flying.popleft()
+            self._landed += 1
+        flying.append(now + self.one_way_us)
         self._sinks[packet.flow_id](packet)

@@ -13,7 +13,7 @@ ACKs then skip the cursor over anything the receiver already holds.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,38 +82,46 @@ class RtoEstimator:
 
 
 class TcpReceiver:
-    """Cumulative receiver; acks every segment, keeps out-of-order runs."""
+    """Cumulative receiver; acks every segment, keeps out-of-order runs.
+
+    `_runs` holds disjoint, non-adjacent (start, end) runs sorted by start;
+    those before `_head` are drained, and cut off once they are half of it.
+    """
 
     def __init__(self) -> None:
         self.rcv_nxt = 0
-        self._runs: list[list[int]] = []   # disjoint sorted [start, end)
+        self._runs: list[tuple[int, int]] = []
+        self._head = 0
         self.duplicate_segments = 0
 
     def on_segment(self, seq: int, length: int) -> int:
         end = seq + length
         if end <= self.rcv_nxt:
             self.duplicate_segments += 1
-            return self.rcv_nxt
-        if seq <= self.rcv_nxt:
-            self.rcv_nxt = end
-            while self._runs and self._runs[0][0] <= self.rcv_nxt:
-                run = self._runs.pop(0)
-                if run[1] > self.rcv_nxt:
-                    self.rcv_nxt = run[1]
-        else:
+        elif seq > self.rcv_nxt:
             self._insert_run(seq, end)
+        else:
+            runs, head = self._runs, self._head
+            while head < len(runs) and runs[head][0] <= end:
+                end = max(end, runs[head][1])
+                head += 1
+            if 2 * head > len(runs):
+                del runs[:head]
+                head = 0
+            self._head, self.rcv_nxt = head, end
         return self.rcv_nxt
 
     def _insert_run(self, start: int, end: int) -> None:
-        insort(self._runs, [start, end])
-        merged: list[list[int]] = []
-        for run in self._runs:
-            if merged and run[0] <= merged[-1][1]:
-                if run[1] > merged[-1][1]:
-                    merged[-1][1] = run[1]
-            else:
-                merged.append(run)
-        self._runs = merged
+        runs = self._runs
+        i = j = bisect_left(runs, (start,), self._head)   # first run starting at or after start
+        if i > self._head and runs[i - 1][1] >= start:
+            i -= 1
+            start = runs[i][0]
+        while j < len(runs) and runs[j][0] <= end:
+            j += 1
+        if j > i:
+            end = max(end, runs[j - 1][1])
+        runs[i:j] = [(start, end)]
 
 
 class Segment:
@@ -175,6 +183,10 @@ class TcpSender:
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
+        # controller hooks, bound once
+        self._on_ack_observed = controller.on_ack_observed
+        self._on_rtt_sample = controller.on_rtt_sample
+
     # introspection
 
     @property
@@ -189,10 +201,7 @@ class TcpSender:
         return self.snd_nxt - self.snd_una
 
     def effective_window_segments(self) -> int:
-        w = self.controller.cwnd_floor()
-        if self.in_recovery:
-            w += self._inflation_segments
-        return w
+        return self.controller.cwnd_floor() + self._inflation_segments   # 0 outside recovery
 
     def srtt_us(self) -> SimTime:
         return int(self.estimator.srtt_us) if self.estimator.srtt_us is not None else 0
@@ -202,63 +211,63 @@ class TcpSender:
     def start(self, at_us: SimTime) -> None:
         self.loop.schedule(at_us, self.maybe_send)
 
-    def _app_next_len(self) -> int:
+    def _app_drained(self) -> bool:
         if self.total_bytes is not None:
-            return min(self.config.mss, self.total_bytes - self.snd_max)
-        if self.app_stop_us is not None and self.loop.now >= self.app_stop_us:
-            return 0
-        return self.config.mss
+            return self.snd_max >= self.total_bytes
+        return self.app_stop_us is not None and self.loop.now >= self.app_stop_us
 
     # sending
 
     def maybe_send(self) -> None:
         # nothing below moves the window: sends only reach the link
         window_bytes = self.effective_window_segments() * self.config.mss
+        segs = self._segments
+        while self._resend_idx < len(segs):
+            seg = segs[self._resend_idx]
+            if seg.end - self.snd_una > window_bytes:
+                return
+            self._retransmit(seg)
+            self._resend_idx += 1
+            if self.snd_nxt < seg.end:
+                self.snd_nxt = seg.end
+        # new data, sent inline: this loop carries nearly every packet
+        if self._app_drained():
+            return
+        now, mss, total = self.loop.now, self.config.mss, self.total_bytes
+        limit = self.snd_una + window_bytes
         while True:
-            if self._resend_idx < len(self._segments):
-                seg = self._segments[self._resend_idx]
-                if seg.end - self.snd_una > window_bytes:
-                    return
-                self._transmit(seg, retx=True)
-                self._resend_idx += 1
-                if self.snd_nxt < seg.end:
-                    self.snd_nxt = seg.end
-                continue
-            length = self._app_next_len()
-            if length <= 0:
+            seq = self.snd_nxt   # equals snd_max once no resend is pending
+            length = mss if total is None else min(mss, total - seq)
+            if length <= 0 or seq + length > limit:
                 return
-            if self.snd_nxt - self.snd_una + length > window_bytes:
-                return
-            seg = Segment(self.snd_nxt, length, self.loop.now)
-            self._segments.append(seg)
-            self._resend_idx = len(self._segments)  # cursor rides the tail
-            self.snd_nxt += length
-            if self.snd_nxt > self.snd_max:
-                self.snd_max = self.snd_nxt
-            self._transmit(seg, retx=False)
-
-    def _transmit(self, seg: Segment, retx: bool) -> None:
-        now = self.loop.now
-        self.transmissions += 1
-        self.bytes_sent += seg.length
-        if retx:
-            self.retransmissions += 1
-            seg.retx_count += 1   # Karn: its sent_at is never read again
-            if self._episode_segs is not None:
-                self._episode_segs.add(seg.seq)
-        else:
-            if self.first_send_at is None:
-                self.first_send_at = now
+            seg = Segment(seq, length, now)
+            segs.append(seg)
+            self._resend_idx = len(segs)   # the cursor rides the tail
+            self.snd_nxt = self.snd_max = seq + length
+            self.transmissions += 1
+            self.bytes_sent += length
             if self._probe is None:
                 self._probe = seg
+                if self.first_send_at is None:
+                    self.first_send_at = now
+            if self._timer is None:
+                self._arm_timer()
+            self.link.offer(Packet(self.flow_id, seq, length, self.config.wire_len))
+
+    def _retransmit(self, seg: Segment) -> None:
+        self.transmissions += 1
+        self.bytes_sent += seg.length
+        self.retransmissions += 1
+        seg.retx_count += 1   # Karn: its sent_at is never read again
+        if self._episode_segs is not None:
+            self._episode_segs.add(seg.seq)
         if self._timer is None:
             self._arm_timer()
-        pkt = Packet(self.flow_id, seg.seq, seg.length, self.config.wire_len, retx, now)
-        self.link.offer(pkt)
+        self.link.offer(Packet(self.flow_id, seg.seq, seg.length, self.config.wire_len))
 
     def _retransmit_front(self) -> None:
         if self._segments:
-            self._transmit(self._segments[0], retx=True)
+            self._retransmit(self._segments[0])
 
     # timer
 
@@ -279,7 +288,7 @@ class TcpSender:
 
     def _on_timer(self) -> None:
         self._timer = None
-        if self.snd_una >= self.snd_max and self._app_next_len() <= 0:
+        if self.snd_una >= self.snd_max and self._app_drained():
             return  # nothing outstanding; stale expiry
         now = self.loop.now
         self.timeouts += 1
@@ -300,25 +309,12 @@ class TcpSender:
             self._episode_point = self.snd_max
         self._retransmit_front()
         self._resend_idx = min(1, len(self._segments))   # rewound past the front
-        self._restart_timer()  # _transmit may have armed; keep exactly one live timer
+        self._restart_timer()  # _retransmit may have armed; keep exactly one live timer
 
     # receiving ACKs
 
-    def on_ack(self, ack: int) -> None:
-        if ack > self.snd_max:
-            raise ProtocolError(
-                f"flow {self.flow_id}: ack {ack} beyond highest sent byte {self.snd_max}")
-        if ack < self.snd_una:
-            return  # stale
-        now = self.loop.now
-        if ack == self.snd_una:
-            if self.snd_una < self.snd_max:
-                self._on_dupack(now)
-            return
-        self._on_new_ack(ack, now)
-
     def _on_dupack(self, now: SimTime) -> None:
-        self.controller.on_ack_observed(now, 0, True)
+        self._on_ack_observed(now, 0, True)
         if self.in_recovery:
             self._inflation_segments += 1
             self.maybe_send()
@@ -344,8 +340,17 @@ class TcpSender:
         self._retransmit_front()
         self._restart_timer()
 
-    def _on_new_ack(self, ack: int, now: SimTime) -> None:
-        newly = ack - self.snd_una
+    def on_ack(self, ack: int) -> None:
+        snd_una = self.snd_una
+        if ack <= snd_una:   # a duplicate, or stale
+            if ack == snd_una and snd_una < self.snd_max:
+                self._on_dupack(self.loop.now)
+            return
+        if ack > self.snd_max:
+            raise ProtocolError(
+                f"flow {self.flow_id}: ack {ack} beyond highest sent byte {self.snd_max}")
+        now = self.loop.now
+        newly = ack - snd_una
         self.snd_una = ack
         if ack > self.snd_nxt:
             self.snd_nxt = ack   # receiver already held part of the rewound range
@@ -356,16 +361,14 @@ class TcpSender:
                 self.rtt_samples.append((now, sample))
                 self.estimator.update(sample)
                 self.rto_current_us = self.estimator.rto_us()
-                self.controller.on_rtt_sample(now, sample)
+                self._on_rtt_sample(now, sample)
             self._probe = None
-        dropped = 0
-        segs = self._segments
+        segs, idx = self._segments, self._resend_idx
         while segs and segs[0].end <= ack:
             segs.popleft()
-            dropped += 1
-        if dropped:
-            self._resend_idx = max(0, self._resend_idx - dropped)
-        self.controller.on_ack_observed(now, newly, False)
+            idx -= 1
+        self._resend_idx = idx if idx > 0 else 0
+        self._on_ack_observed(now, newly, False)
         if self.in_recovery:
             if ack >= self.recovery_point:
                 self.in_recovery = False

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from cclab.cli import main
+from cclab.config import load_config
 from cclab.matrix import CellResult
 
 
@@ -123,11 +124,22 @@ def test_every_variant_name_the_config_accepts_runs(tmp_path, capsys):
     assert "flow 0 [westwood+]:" in stdout
 
 
+def test_run_takes_any_size_the_config_takes(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, _, _ = run_cli(capsys, "run", "--size", "200", "--out", str(out))
+    assert rc == 0
+    ini = tmp_path / "short200.ini"
+    ini.write_text("[experiment]\nscenario = short:200\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config_hash"] == load_config(str(ini)).config_hash()
+
+
 @pytest.mark.parametrize("args, message", [
     (("--variant", "vegas"), "error: unknown variant 'vegas'"),
     # the default stagger_s = 1 could start a flow after a 0.3 s run ends
     (("--duration", "0.3", "--seed", "4"), "error: duration_s = 0.3 must exceed stagger_s = 1"),
-], ids=["unknown_variant", "run_shorter_than_stagger"])
+    (("--size", "0"), "error: short-transfer scenario needs a positive size"),
+], ids=["unknown_variant", "run_shorter_than_stagger", "zero_size"])
 def test_bad_run_arguments_are_usage_errors(tmp_path, capsys, args, message):
     rc, _, stderr = run_cli(capsys, "run", *args, "--out", str(tmp_path / "out"))
     assert rc == 2

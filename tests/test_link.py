@@ -27,7 +27,7 @@ def make_link(loop, record_backlog=False, **overrides):
 
 
 def pkt(seq, flow_id=0, wire_len=1500):
-    return Packet(flow_id, seq, wire_len - 40, wire_len, False, 0)
+    return Packet(flow_id, seq, wire_len - 40, wire_len)
 
 
 def test_serialization_time_1500_bytes_at_1200_kbps():
@@ -89,8 +89,10 @@ def test_single_packet_delivery_time():
     link.register_sink(0, lambda p: seen.append(loop.now))
     link.offer(pkt(0))
     loop.run_until(seconds(1))
-    # 8 ms serialization plus 50 ms one-way propagation
-    assert seen == [ms(58)]
+    # the sink runs as the packet leaves the server, after 8 ms of
+    # serialization; its 50 ms one-way propagation is still ahead of it
+    assert link.one_way_us == ms(50)
+    assert seen == [ms(8)]
 
 
 def test_fifo_delivery_preserves_acceptance_order_across_flows():
@@ -104,7 +106,7 @@ def test_fifo_delivery_preserves_acceptance_order_across_flows():
     link.offer(pkt(2, flow_id=0))
     loop.run_until(seconds(1))
     assert [(f, s) for _, f, s in seen] == [(0, 0), (1, 1), (0, 2)]
-    assert [t for t, _, _ in seen] == [ms(58), ms(66), ms(74)]
+    assert [t for t, _, _ in seen] == [ms(8), ms(16), ms(24)]
 
 
 def test_arq_stall_holds_the_line_and_later_packets_wait():
@@ -120,7 +122,7 @@ def test_arq_stall_holds_the_line_and_later_packets_wait():
     link.offer(pkt(1))
     loop.run_until(seconds(1))
     # head of line: 8 + 80 ms hold, then the follower serializes behind it
-    assert seen == [(ms(138), 0), (ms(146), 1)]
+    assert seen == [(ms(88), 0), (ms(96), 1)]
 
 
 def test_residual_loss_drops_after_budget_exhausted():
@@ -184,4 +186,40 @@ def test_reverse_channel_is_pure_delay():
     fired = []
     loop.schedule(ms(1), lambda: link.send_reverse(lambda ack: fired.append((loop.now, ack)), 7))
     loop.run_until(seconds(1))
-    assert fired == [(ms(51), 7)]
+    # sinks run at departure, so an ACK also carries the forward hop's
+    # remaining one-way delay: 2 x 50 ms after it is sent
+    assert fired == [(ms(101), 7)]
+
+
+def test_delivered_counts_a_packet_only_once_it_lands():
+    loop = EventLoop()
+    link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=100_000)
+    seen = []
+    link.register_sink(0, lambda p: seen.append(loop.now))
+    link.offer(pkt(0))
+    # stepped horizon: the packet departs at 8 ms and lands at 58 ms
+    loop.run_until(ms(30))
+    assert seen == [ms(8)]
+    assert link.delivered == 0
+    loop.run_until(ms(57))
+    assert link.delivered == 0
+    loop.run_until(ms(58))
+    assert link.delivered == 1
+    assert link.quiescent_accounting_ok()
+
+
+@pytest.mark.parametrize("prop_rtt_us", [0, 1])
+def test_zero_one_way_delay_lands_each_packet_at_departure(prop_rtt_us):
+    loop = EventLoop()
+    link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=prop_rtt_us)
+    seen = []
+    link.register_sink(0, lambda p: seen.append(loop.now))
+    for i in range(3):
+        link.offer(pkt(i))
+    loop.run_until(ms(8))
+    assert seen == [ms(8)]
+    assert link.delivered == 1
+    loop.run_until(seconds(1))
+    assert seen == [ms(8), ms(16), ms(24)]
+    assert link.delivered == 3
+    assert link.quiescent_accounting_ok()

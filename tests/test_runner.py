@@ -3,17 +3,19 @@
 import gc
 import json
 import pickle
+import random
 
 import pytest
 
-from cclab.cc import Controller
+import cclab.runner
+from cclab.cc import Controller, make_controller
 from cclab.config import ScenarioSpec, load_config
-from cclab.engine import EventLoop
-from cclab.link import BottleneckLink
+from cclab.engine import EventLoop, ms
+from cclab.link import BottleneckLink, LinkConfig
 from cclab.metrics import backlog_at
-from cclab.runner import (TIMESERIES_COLUMNS, run_single, summary_dict,
+from cclab.runner import (TIMESERIES_COLUMNS, _FlowPipe, run_single, summary_dict,
                           write_run_outputs)
-from cclab.transport import TcpSender
+from cclab.transport import TcpSender, TransportConfig
 
 
 def short_config(**experiment):
@@ -172,3 +174,38 @@ def test_finished_run_leaves_no_cyclic_garbage(overrides):
     finally:
         gc.enable()
     assert result.flows
+
+
+def test_ack_reaches_the_sender_one_propagation_rtt_after_serialization():
+    loop = EventLoop()
+    link = BottleneckLink(loop, LinkConfig(arq_frame_error_prob=0.0), random.Random(1))
+    config = TransportConfig()
+    ctrl = make_controller("newreno", 2, 44.0, config.mss)
+    sender = TcpSender(loop, 0, config, ctrl, link, total_bytes=config.mss)
+    link.register_sink(0, _FlowPipe(loop, link, sender).on_packet)
+    acked_at = []
+    on_ack = sender.on_ack
+    sender.on_ack = lambda ack: (acked_at.append((loop.now, ack)), on_ack(ack))
+    sender.start(0)
+    loop.run_until(ms(1000))
+    # 1500 wire bytes at 1.5 Mbps serialize in 8 ms; the ACK then needs
+    # the whole 100 ms propagation RTT
+    assert acked_at == [(ms(108), config.mss)]
+    assert sender.done_at == ms(108)
+
+
+def test_zero_propagation_delay_run_accounts_every_packet(monkeypatch):
+    links = []
+
+    class KeptLink(BottleneckLink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            links.append(self)
+
+    monkeypatch.setattr(cclab.runner, "BottleneckLink", KeptLink)
+    cfg = load_config(text="[experiment]\nflows = 2\nscenario = short:100\n"
+                           "[link]\nprop_rtt_ms = 0\n")
+    res = run_single(cfg, seed=3)
+    assert [m.unique_bytes for m in res.flows] == [100 * 1024] * 2
+    assert res.link_delivered == res.link_offered - res.link_dropped > 0
+    assert links[0].quiescent_accounting_ok()

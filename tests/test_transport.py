@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab.cc import make_controller
+from cclab.cc.newreno import NewReno
 from cclab.engine import EventLoop, ms, seconds
 from cclab.link import BottleneckLink, LinkConfig
 from cclab.transport import (ProtocolError, RtoEstimator, TcpReceiver, TcpSender,
@@ -14,19 +17,26 @@ MSS = 1460
 
 
 class RecordingLink:
-    """Link stub that records offers and checks the window discipline."""
+    """Link stub that records offers and checks the window discipline.
 
-    def __init__(self):
+    An offer counts as a retransmission when its seq was offered before.
+    """
+
+    def __init__(self, loop):
+        self.loop = loop
         self.sent = []           # (time, seq, is_retx)
         self.sender = None
+        self._seen = set()
 
     def offer(self, packet):
-        if self.sender is not None and not packet.is_retx:
+        is_retx = packet.seq in self._seen
+        self._seen.add(packet.seq)
+        if self.sender is not None and not is_retx:
             # new data must respect the usable window; resends of data
             # already charged to the flight are exempt
             s = self.sender
             assert s.outstanding_bytes() <= s.effective_window_segments() * MSS
-        self.sent.append((packet.sent_at, packet.seq, packet.is_retx))
+        self.sent.append((self.loop.now, packet.seq, is_retx))
         return True
 
     def fresh_seqs(self):
@@ -39,7 +49,7 @@ class RecordingLink:
 def make_sender(variant="newreno", cwnd0=2, ssthresh0=44.0, total_bytes=None,
                 **cfg_overrides):
     loop = EventLoop()
-    link = RecordingLink()
+    link = RecordingLink(loop)
     config = TransportConfig(initial_cwnd_segments=cwnd0,
                              initial_ssthresh_segments=ssthresh0,
                              **cfg_overrides)
@@ -109,8 +119,29 @@ def test_receiver_merges_adjacent_runs():
     rcv = TcpReceiver()
     rcv.on_segment(2 * MSS, MSS)
     rcv.on_segment(MSS, MSS)
-    assert rcv._runs == [[MSS, 3 * MSS]]
+    # filling the hole jumps rcv_nxt to the end of the merged run
     assert rcv.on_segment(0, MSS) == 3 * MSS
+    assert rcv.rcv_nxt == 3 * MSS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_receiver_acks_the_first_missing_byte(data):
+    # every 4-byte segment of a range arrives once, in a random order; in
+    # between come duplicates, retransmissions and overlaps of any span
+    n = data.draw(st.integers(1, 24))
+    arrivals = [(4 * i, 4) for i in data.draw(st.permutations(range(n)))]
+    extras = data.draw(st.lists(st.tuples(st.integers(0, 4 * n - 1), st.integers(1, 12),
+                                          st.integers(0, n)), max_size=2 * n))
+    for seq, length, at in extras:
+        arrivals.insert(at, (seq, min(length, 4 * n - seq)))
+    rcv = TcpReceiver()
+    held = set()
+    for seq, length in arrivals:
+        held.update(range(seq, seq + length))
+        first_missing = next(b for b in range(len(held) + 1) if b not in held)
+        assert rcv.on_segment(seq, length) == first_missing
+    assert rcv.rcv_nxt == 4 * n
 
 
 # --- sender: growth --------------------------------------------------------
@@ -135,6 +166,43 @@ def test_congestion_avoidance_ack_adds_reciprocal():
     loop.run_until(0)
     sender.on_ack(MSS)
     assert sender.controller.cwnd_segments() == pytest.approx(10.1)
+
+
+class ObservingNewReno(NewReno):
+    """NewReno that records every ACK its sender reports."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.observed = []
+
+    def on_ack_observed(self, now_us, acked_bytes, is_dupack):
+        self.observed.append((acked_bytes, is_dupack))
+
+
+def _ack_then_three_dupacks(sender, loop):
+    sender.start(0)
+    loop.run_until(0)
+    sender.on_ack(MSS)
+    for _ in range(3):
+        sender.on_ack(MSS)
+
+
+def test_an_overriding_ack_hook_sees_every_ack():
+    loop = EventLoop()
+    config = TransportConfig(initial_cwnd_segments=4)
+    sender = TcpSender(loop, 0, config, ObservingNewReno(4, 44.0),
+                       RecordingLink(loop))
+    _ack_then_three_dupacks(sender, loop)
+    assert sender.controller.observed == [(MSS, False)] + [(0, True)] * 3
+
+
+def test_a_hook_wrapped_from_outside_is_called(monkeypatch):
+    seen = []
+    monkeypatch.setattr(NewReno, "on_ack_observed",
+                        lambda self, now, acked, dup: seen.append(dup))
+    loop, _, sender = make_sender(cwnd0=4)
+    _ack_then_three_dupacks(sender, loop)
+    assert seen == [False, True, True, True]
 
 
 # --- sender: fast retransmit and recovery ----------------------------------
