@@ -42,10 +42,6 @@ def seconds(value: float) -> SimTime:
     return round(value * US_PER_S)
 
 
-def to_seconds(t: SimTime) -> float:
-    return t / US_PER_S
-
-
 class ScheduleInPastError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 

@@ -54,8 +54,7 @@ class RunResult:
 class _FlowPipe:
     """Receiver side of one flow plus the ACK return path."""
 
-    def __init__(self, loop: EventLoop, link: BottleneckLink, sender: TcpSender):
-        self.loop = loop
+    def __init__(self, link: BottleneckLink, sender: TcpSender):
         self.link = link
         self.sender = sender
         self.receiver = TcpReceiver()
@@ -94,7 +93,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                            total_bytes=total_bytes)
         if scenario.kind == SCENARIO_LONG:
             sender.app_stop_us = duration_us
-        pipe = _FlowPipe(loop, link, sender)
+        pipe = _FlowPipe(link, sender)
         link.register_sink(flow_id, pipe.on_packet)
         start_at = round(stagger_rng.uniform(0.0, config.stagger_s) * 1_000_000)
         sender.start(start_at)

@@ -9,12 +9,15 @@ restarted on the first partial ACK of an episode only, so a long
 repair trickle eventually times out and finishes under slow start.
 After a timeout the send cursor rewinds to the oldest hole; cumulative
 ACKs then skip the cursor over anything the receiver already holds.
+
+The send queue is the byte range `[snd_una, snd_max)`, cut at multiples
+of `mss` as it was first sent, so every ACK lands on a cut and the front
+segment is `[snd_una, min(snd_una + mss, snd_max))`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -124,17 +127,6 @@ class TcpReceiver:
         runs[i:j] = [(start, end)]
 
 
-class Segment:
-    __slots__ = ("seq", "length", "end", "sent_at", "retx_count")
-
-    def __init__(self, seq: int, length: int, sent_at: SimTime):
-        self.seq = seq
-        self.length = length
-        self.end = seq + length
-        self.sent_at = sent_at
-        self.retx_count = 0
-
-
 class TcpSender:
     """One flow's send side, driven entirely by ACK and timer events."""
 
@@ -162,13 +154,11 @@ class TcpSender:
         self._inflation_segments = 0
         self._partial_seen = False
 
-        self._segments: deque[Segment] = deque()   # sent but not cumulatively acked
-        self._resend_idx = 0                       # cursor into _segments after a rewind
-
         self.estimator = RtoEstimator(config.rto_min_us, config.rto_max_us)
         self.rto_current_us = config.rto_initial_us
         self._timer = None
-        self._probe: Optional[Segment] = None
+        self._probe_end: Optional[int] = None       # end of the segment being timed
+        self._probe_at: Optional[SimTime] = None    # its send time; Karn voids it on resend
 
         # measurement
         self.transmissions = 0
@@ -220,54 +210,55 @@ class TcpSender:
 
     def maybe_send(self) -> None:
         # nothing below moves the window: sends only reach the link
-        window_bytes = self.effective_window_segments() * self.config.mss
-        segs = self._segments
-        while self._resend_idx < len(segs):
-            seg = segs[self._resend_idx]
-            if seg.end - self.snd_una > window_bytes:
+        mss, snd_max = self.config.mss, self.snd_max
+        limit = self.snd_una + self.effective_window_segments() * mss
+        # Resend what a timeout rewound.  The timeout resends the front and
+        # leaves snd_nxt on it, but no maybe_send runs before a new ACK moves
+        # snd_nxt past it (the timer path calls none; a dupack cannot start
+        # recovery while snd_una <= _recover_guard): [snd_nxt, snd_max) is left.
+        while self.snd_nxt < snd_max:
+            seq = self.snd_nxt
+            end = min(seq + mss, snd_max)
+            if end > limit:
                 return
-            self._retransmit(seg)
-            self._resend_idx += 1
-            if self.snd_nxt < seg.end:
-                self.snd_nxt = seg.end
+            self._retransmit(seq, end)
+            self.snd_nxt = end
         # new data, sent inline: this loop carries nearly every packet
         if self._app_drained():
             return
-        now, mss, total = self.loop.now, self.config.mss, self.total_bytes
-        limit = self.snd_una + window_bytes
+        now, total = self.loop.now, self.total_bytes
         while True:
-            seq = self.snd_nxt   # equals snd_max once no resend is pending
+            seq = self.snd_nxt   # equals snd_max here
             length = mss if total is None else min(mss, total - seq)
             if length <= 0 or seq + length > limit:
                 return
-            seg = Segment(seq, length, now)
-            segs.append(seg)
-            self._resend_idx = len(segs)   # the cursor rides the tail
             self.snd_nxt = self.snd_max = seq + length
             self.transmissions += 1
             self.bytes_sent += length
-            if self._probe is None:
-                self._probe = seg
+            if self._probe_end is None:
+                self._probe_end, self._probe_at = seq + length, now
                 if self.first_send_at is None:
                     self.first_send_at = now
             if self._timer is None:
                 self._arm_timer()
             self.link.offer(Packet(self.flow_id, seq, length, self.config.wire_len))
 
-    def _retransmit(self, seg: Segment) -> None:
+    def _retransmit(self, seq: int, end: int) -> None:
         self.transmissions += 1
-        self.bytes_sent += seg.length
+        self.bytes_sent += end - seq
         self.retransmissions += 1
-        seg.retx_count += 1   # Karn: its sent_at is never read again
+        if end == self._probe_end:
+            self._probe_at = None   # Karn: no sample until this end is acked
         if self._episode_segs is not None:
-            self._episode_segs.add(seg.seq)
+            self._episode_segs.add(seq)
         if self._timer is None:
             self._arm_timer()
-        self.link.offer(Packet(self.flow_id, seg.seq, seg.length, self.config.wire_len))
+        self.link.offer(Packet(self.flow_id, seq, end - seq, self.config.wire_len))
 
     def _retransmit_front(self) -> None:
-        if self._segments:
-            self._retransmit(self._segments[0])
+        una = self.snd_una
+        if una < self.snd_max:
+            self._retransmit(una, min(una + self.config.mss, self.snd_max))
 
     # timer
 
@@ -290,26 +281,31 @@ class TcpSender:
         self._timer = None
         if self.snd_una >= self.snd_max and self._app_drained():
             return  # nothing outstanding; stale expiry
-        now = self.loop.now
         self.timeouts += 1
-        ctrl = self.controller
-        pre = ctrl.cwnd_segments()
-        ctrl.on_timeout(now)
-        self.decreases.append((now, "timeout", pre, ctrl.cwnd_segments(),
-                               ctrl.ssthresh_segments()))
+        self._decrease("timeout", self.controller.on_timeout)
         self.rto_current_us = min(self.rto_current_us * 2, self.config.rto_max_us)
         self.in_recovery = False
         self._inflation_segments = 0
         self.dupack_count = 0
         self._recover_guard = self.snd_max
         self.snd_nxt = self.snd_una
-        self._probe = None   # its timing is void once the cursor rewinds
+        self._probe_end = None   # its timing is void once the cursor rewinds
+        self._repair_front()  # _retransmit may arm; the restart keeps one live timer
+
+    # loss entry, shared by the timer and the third dupack
+
+    def _decrease(self, kind: str, step: Callable[[SimTime], None]) -> None:
+        now, ctrl = self.loop.now, self.controller
+        pre = ctrl.cwnd_segments()
+        step(now)
+        self.decreases.append((now, kind, pre, ctrl.cwnd_segments(), ctrl.ssthresh_segments()))
+
+    def _repair_front(self) -> None:
         if self._episode_segs is None:
             self._episode_segs = set()
             self._episode_point = self.snd_max
         self._retransmit_front()
-        self._resend_idx = min(1, len(self._segments))   # rewound past the front
-        self._restart_timer()  # _retransmit may have armed; keep exactly one live timer
+        self._restart_timer()
 
     # receiving ACKs
 
@@ -324,21 +320,13 @@ class TcpSender:
             return
         if self.snd_una <= self._recover_guard:
             return  # still repairing an older episode; no new decrease
-        ctrl = self.controller
-        pre = ctrl.cwnd_segments()
-        ctrl.on_3dupack(now)
-        self.decreases.append((now, "3dupack", pre, ctrl.cwnd_segments(),
-                               ctrl.ssthresh_segments()))
+        self._decrease("3dupack", self.controller.on_3dupack)
         self.in_recovery = True
         self.recovery_point = self.snd_max
         self._recover_guard = self.snd_max
         self._inflation_segments = self.config.dupack_threshold
         self._partial_seen = False
-        if self._episode_segs is None:
-            self._episode_segs = set()
-            self._episode_point = self.snd_max
-        self._retransmit_front()
-        self._restart_timer()
+        self._repair_front()
 
     def on_ack(self, ack: int) -> None:
         snd_una = self.snd_una
@@ -354,20 +342,14 @@ class TcpSender:
         self.snd_una = ack
         if ack > self.snd_nxt:
             self.snd_nxt = ack   # receiver already held part of the rewound range
-        probe = self._probe
-        if probe is not None and ack >= probe.end:
-            if probe.retx_count == 0:
-                sample = now - probe.sent_at
+        if self._probe_end is not None and ack >= self._probe_end:
+            if self._probe_at is not None:
+                sample = now - self._probe_at
                 self.rtt_samples.append((now, sample))
                 self.estimator.update(sample)
                 self.rto_current_us = self.estimator.rto_us()
                 self._on_rtt_sample(now, sample)
-            self._probe = None
-        segs, idx = self._segments, self._resend_idx
-        while segs and segs[0].end <= ack:
-            segs.popleft()
-            idx -= 1
-        self._resend_idx = idx if idx > 0 else 0
+            self._probe_end = None
         self._on_ack_observed(now, newly, False)
         if self.in_recovery:
             if ack >= self.recovery_point:

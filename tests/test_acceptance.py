@@ -47,7 +47,7 @@ def test_criterion_01_cubic_closed_form():
         config.transport.initial_ssthresh_segments, config.params_for("cubic"))
     sender = TcpSender(loop, 0, config.transport, controller, link)
     sender.app_stop_us = seconds(60)
-    pipe = _FlowPipe(loop, link, sender)
+    pipe = _FlowPipe(link, sender)
     link.register_sink(0, pipe.on_packet)
     sender.start(0)
     loop.run_until(seconds(60))

@@ -10,7 +10,10 @@ speed-up that moves a single event changes them.  The 4-flow points see
 dozens of timeouts and fast retransmits, so the timer and recovery
 paths are covered.  The ARQ-loss points make frames that exhaust their
 link-layer retransmissions get abandoned, which no default run does:
-they drop packets at the server and time out on every flow.
+they drop packets at the server and time out on every flow.  The
+lossy short points lose the final, short segment of a transfer: it is
+resent at its own length (once for newreno, twice for cubic), and Karn's
+rule voids the timing of the resent probes.
 """
 
 import hashlib
@@ -54,6 +57,17 @@ GOLDEN_ARQ_LOSS = {
 ARQ_LOSS_LINK = ("[link]\narq_frame_error_prob = 0.05\narq_max_retx = 2\n"
                  "residual_loss_prob = 0.5\n")
 
+# the same points run with LOSSY_SHORT_LINK appended to their config
+GOLDEN_LOSSY_SHORT = {
+    ("newreno", 2, 2, None, 50):
+        "bfc17a4588c571602c18e4f7642d55cb7f183e4871acf447ae5314b7387fec27",
+    ("cubic", 2, 2, None, 50):
+        "a411fd26c71f674d4d4ef820853f60ecf8b65fb55bc28dc7bbda8fc040172fa2",
+}
+
+LOSSY_SHORT_LINK = ("[link]\narq_frame_error_prob = 0.3\narq_max_retx = 1\n"
+                    "residual_loss_prob = 0.5\n")
+
 
 def _config_text(variant, flows, seed, duration_s, size_kb):
     text = f"[experiment]\nvariant = {variant}\nflows = {flows}\nseed = {seed}\n"
@@ -82,3 +96,10 @@ def test_outputs_match_golden_hash(point, tmp_path):
 def test_arq_loss_outputs_match_golden_hash(point, tmp_path):
     text = _config_text(*point) + ARQ_LOSS_LINK
     assert _output_hash(text, tmp_path) == GOLDEN_ARQ_LOSS[point]
+
+
+@pytest.mark.parametrize("point", list(GOLDEN_LOSSY_SHORT),
+                         ids=lambda p: "-".join(map(str, p)))
+def test_lossy_short_outputs_match_golden_hash(point, tmp_path):
+    text = _config_text(*point) + LOSSY_SHORT_LINK
+    assert _output_hash(text, tmp_path) == GOLDEN_LOSSY_SHORT[point]

@@ -340,10 +340,24 @@ def test_karn_no_rtt_sample_from_retransmitted_segment():
     assert sender.rtt_samples == []
     # the next fresh segment is probed again
     loop.run_until(loop_now + ms(100))
-    probe = sender._probe
-    assert probe is not None and probe.retx_count == 0
-    sender.on_ack(probe.end)
+    assert sender._probe_end is not None and sender._probe_at is not None
+    sender.on_ack(sender._probe_end)
     assert len(sender.rtt_samples) == 1
+
+
+def test_karn_fast_retransmit_of_the_probe_voids_its_sample():
+    loop, link, sender = make_sender(cwnd0=10)
+    sender.start(0)
+    loop.run_until(ms(100))
+    for _ in range(3):
+        sender.on_ack(0)             # segment 0, the probe, is resent
+    loop.run_until(ms(200))
+    sender.on_ack(sender.recovery_point)
+    assert sender.rtt_samples == []
+    # the probe ended with that ACK; fresh data sent after it is timed
+    loop.run_until(ms(300))
+    sender.on_ack(sender.snd_max)
+    assert sender.rtt_samples == [(ms(300), ms(100))]
 
 
 # --- sender: burst accounting ----------------------------------------------
@@ -384,6 +398,57 @@ def test_timeout_then_slow_start_resends_count_as_one_burst():
     loop.run_until(seconds(1) + ms(200))
     sender.on_ack(3 * MSS)
     assert sender.episodes == [(seconds(1) + ms(200), 3)]
+
+
+# --- sender: randomized loss -----------------------------------------------
+
+
+class LossyLink:
+    """Link stub that drops the offers whose flag is set; the rest reach a
+    real receiver, whose ACK arrives 50 ms later.  Every offer is checked
+    against the byte range the sender has in flight."""
+
+    def __init__(self, loop, drops, total):
+        self.loop = loop
+        self.drops = drops
+        self.total = total
+        self.receiver = TcpReceiver()
+        self.sender = None
+        self.offers = []
+
+    def offer(self, packet):
+        s, seq = self.sender, packet.seq
+        assert seq % MSS == 0
+        assert packet.payload_len == min(MSS, self.total - seq)
+        assert s.snd_una <= s.snd_nxt <= s.snd_max
+        drop = len(self.offers) < len(self.drops) and self.drops[len(self.offers)]
+        self.offers.append(seq)
+        if not drop:
+            ack = self.receiver.on_segment(seq, packet.payload_len)
+            self.loop.post(self.loop.now + ms(50), s.on_ack, ack)
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(variant=st.sampled_from(["newreno", "westwood+", "bic", "cubic"]),
+       full_segments=st.integers(0, 39), tail=st.integers(1, MSS),
+       drops=st.lists(st.booleans(), max_size=60))
+def test_sender_delivers_every_byte_under_random_loss(variant, full_segments, tail, drops):
+    total = full_segments * MSS + tail
+    loop = EventLoop()
+    link = LossyLink(loop, drops, total)
+    config = TransportConfig(rto_max_us=seconds(2))
+    ctrl = make_controller(variant, 2, 44.0, config.mss)
+    sender = TcpSender(loop, 0, config, ctrl, link, total_bytes=total)
+    link.sender = sender
+    sender.start(0)
+    loop.run_until(seconds(3600))
+    assert sender.done_at is not None
+    assert sender.snd_una == link.receiver.rcv_nxt == total
+    assert sender.transmissions == len(link.offers)
+    assert sender.retransmissions == len(link.offers) - len(set(link.offers))
+    assert sum(n for _, n in sender.episodes) <= sender.retransmissions
+    assert loop.pending() == 0
 
 
 # --- sender: guards and edges ----------------------------------------------
