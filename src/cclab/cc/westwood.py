@@ -9,12 +9,8 @@ is just enough to keep the pipe full with the bottleneck queue empty.
 
 from __future__ import annotations
 
-import logging
-
 from .base import Controller
 from .params import SCALE, WestwoodParams, fp_from_segments
-
-log = logging.getLogger(__name__)
 
 
 class WestwoodPlus(Controller):
@@ -79,7 +75,6 @@ class WestwoodPlus(Controller):
         target = self._target_fp()
         if target is None:
             self.fallback_decreases += 1
-            log.debug("westwood+ decrease before first BWE sample, halving instead")
             p = self.params
             target = max(SCALE, self.cwnd_fp * p.fallback_beta_num // p.fallback_beta_den)
         elif target > self.cwnd_fp:

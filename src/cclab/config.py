@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
@@ -133,10 +132,16 @@ class LabConfig:
 
 
 def _beta_fraction(text: str) -> tuple[int, int]:
+    from fractions import Fraction   # here, so that only beta keys load it
     frac = Fraction(text)
     if not 0 < frac <= 1:
         raise ValueError(f"decrease factor must be in (0, 1], got {text}")
     return frac.numerator, frac.denominator
+
+
+def _beta_text(pair: tuple[int, int]) -> str:
+    from fractions import Fraction   # as in _beta_fraction
+    return str(Fraction(*pair))
 
 
 def _list(item):
@@ -149,7 +154,7 @@ _TEXT = (str, str)
 _INT = (int, str)
 _FLOAT = (float, lambda value: format(value, "g"))   # "inf" round-trips too
 _MS = (lambda text: round(float(text) * 1000), lambda us: format(us / 1000, "g"))
-_BETA = (_beta_fraction, lambda pair: str(Fraction(*pair)))
+_BETA = (_beta_fraction, _beta_text)
 _BOOL = (lambda text: text.lower() in ("1", "true", "yes", "on"),
          lambda value: str(value).lower())
 

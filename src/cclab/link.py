@@ -62,21 +62,11 @@ class Packet:
 
 
 def arq_error_count(rng: random.Random, error_prob: float, max_retx: int) -> int:
-    """Consecutive frame errors for one packet: geometric, capped at max_retx."""
+    """Consecutive frame errors for one packet: geometric (mean p / (1 - p)), capped."""
     k = 0
     while k < max_retx and rng.random() < error_prob:
         k += 1
     return k
-
-
-def arq_penalty(rng: random.Random, error_prob: float, retx_delay_us: SimTime,
-                max_retx: int) -> SimTime:
-    """Delay added by link-layer retransmissions of one packet.
-
-    Charges retx_delay_us per errored attempt.  The uncapped mean is
-    retx_delay_us * p / (1 - p).
-    """
-    return arq_error_count(rng, error_prob, max_retx) * retx_delay_us
 
 
 class BottleneckLink:
@@ -171,10 +161,13 @@ class BottleneckLink:
     def _start_service(self, packet: Packet) -> None:
         cfg = self.config
         self._busy = True
-        errors = arq_error_count(self.rng, cfg.arq_frame_error_prob, cfg.arq_max_retx)
-        hold = self.serialization_us(packet.wire_len) + errors * cfg.arq_retx_delay_us
-        if (cfg.residual_loss_prob > 0.0 and cfg.arq_max_retx > 0 and errors == cfg.arq_max_retx
-                and self.rng.random() < cfg.residual_loss_prob):
+        p, max_retx, rng = cfg.arq_frame_error_prob, cfg.arq_max_retx, self.rng
+        # the first draw of arq_error_count inline (most frames stop at it), and
+        # serialization_us inline: the same draws in the same order
+        errors = 1 + arq_error_count(rng, p, max_retx - 1) if max_retx and rng.random() < p else 0
+        hold = packet.wire_len * 8 * US_PER_S // cfg.rate_bps + errors * cfg.arq_retx_delay_us
+        if (cfg.residual_loss_prob > 0.0 and max_retx > 0 and errors == max_retx
+                and rng.random() < cfg.residual_loss_prob):
             # retransmission budget exhausted and the frame abandoned
             self.dropped_arq += 1
             self.per_flow_drops[packet.flow_id] = (

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import LabConfig
@@ -102,6 +101,9 @@ def run_matrix(config: LabConfig) -> list[CellResult]:
              for flows in config.matrix_flows
              for variant in config.matrix_variants]
     if config.workers > 1:
+        # imported here: the pool pulls in multiprocessing and logging,
+        # which a serial sweep or a single run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             cells = list(pool.map(_cell_task, tasks))
     else:

@@ -95,15 +95,12 @@ class TcpReceiver:
         self.rcv_nxt = 0
         self._runs: list[tuple[int, int]] = []
         self._head = 0
-        self.duplicate_segments = 0
 
     def on_segment(self, seq: int, length: int) -> int:
         end = seq + length
-        if end <= self.rcv_nxt:
-            self.duplicate_segments += 1
-        elif seq > self.rcv_nxt:
+        if seq > self.rcv_nxt:
             self._insert_run(seq, end)
-        else:
+        elif end > self.rcv_nxt:   # else a duplicate: the cumulative ACK stands
             runs, head = self._runs, self._head
             while head < len(runs) and runs[head][0] <= end:
                 end = max(end, runs[head][1])
@@ -132,8 +129,7 @@ class TcpSender:
 
     def __init__(self, loop: EventLoop, flow_id: int, config: TransportConfig,
                  controller: Controller, link: BottleneckLink,
-                 total_bytes: Optional[int] = None,
-                 on_complete: Optional[Callable[[SimTime], None]] = None):
+                 total_bytes: Optional[int] = None):
         config.validate()
         self.loop = loop
         self.flow_id = flow_id
@@ -141,7 +137,6 @@ class TcpSender:
         self.controller = controller
         self.link = link
         self.total_bytes = total_bytes          # None means an unbounded source
-        self.on_complete = on_complete
         self.app_stop_us: Optional[SimTime] = None
 
         self.snd_una = 0
@@ -209,9 +204,9 @@ class TcpSender:
     # sending
 
     def maybe_send(self) -> None:
-        # nothing below moves the window: sends only reach the link
+        # effective_window_segments inline; nothing below moves the window
         mss, snd_max = self.config.mss, self.snd_max
-        limit = self.snd_una + self.effective_window_segments() * mss
+        limit = self.snd_una + (self.controller.cwnd_floor() + self._inflation_segments) * mss
         # Resend what a timeout rewound.  The timeout resends the front and
         # leaves snd_nxt on it, but no maybe_send runs before a new ACK moves
         # snd_nxt past it (the timer path calls none; a dupack cannot start
@@ -223,10 +218,14 @@ class TcpSender:
                 return
             self._retransmit(seq, end)
             self.snd_nxt = end
-        # new data, sent inline: this loop carries nearly every packet
-        if self._app_drained():
-            return
+        # new data unless the source is drained (_app_drained, inline): nearly every packet
         now, total = self.loop.now, self.total_bytes
+        if total is None:
+            stop = self.app_stop_us
+            if stop is not None and now >= stop:
+                return
+        elif snd_max >= total:
+            return
         while True:
             seq = self.snd_nxt   # equals snd_max here
             length = mss if total is None else min(mss, total - seq)
@@ -368,10 +367,12 @@ class TcpSender:
         else:
             self.dupack_count = 0
             self.controller.on_ack_growth(now)
-            if self.snd_una < self.snd_max:
-                self._restart_timer()
-            else:
+            if ack >= self.snd_max:
                 self._cancel_timer()
+            elif self._timer is None:
+                self._arm_timer()
+            else:   # _restart_timer, inline
+                self._timer = self.loop.reschedule(self._timer, now + self.rto_current_us)
         if self._episode_segs is not None and ack >= self._episode_point:
             self.episodes.append((now, len(self._episode_segs)))
             self._episode_segs = None
@@ -379,7 +380,5 @@ class TcpSender:
             if self.done_at is None:
                 self.done_at = now
                 self._cancel_timer()
-                if self.on_complete is not None:
-                    self.on_complete(now)
             return
         self.maybe_send()

@@ -9,6 +9,7 @@ import pytest
 
 from cclab.cc import Cubic
 from cclab.config import LabConfig, parse_scenario
+from cclab.link import arq_error_count
 from cclab.runner import run_single
 
 VARIANTS = ("newreno", "westwood+", "bic", "cubic")
@@ -17,6 +18,11 @@ SINGLE_FLOW_SEEDS = tuple(range(1, 21))
 MULTI_FLOW_SEEDS = tuple(range(1, 6))
 SHORT_SEEDS = tuple(range(1, 11))
 PROBE_SEEDS = (1, 2, 3)
+
+
+def arq_penalty(rng, error_prob, retx_delay_us, max_retx):
+    """Server hold that link-layer retransmissions add to one packet."""
+    return arq_error_count(rng, error_prob, max_retx) * retx_delay_us
 
 
 class RecordingCubic(Cubic):

@@ -16,12 +16,12 @@ from cclab.cc.cubic import Cubic
 from cclab.cc.params import SCALE, BicParams, CubicParams
 from cclab.config import LabConfig
 from cclab.engine import EventLoop, seconds
-from cclab.link import BottleneckLink, arq_penalty
+from cclab.link import BottleneckLink
 from cclab.metrics import backlog_at, box_whisker, jain_fairness, representative_flow
 from cclab.runner import _FlowPipe, run_single, write_run_outputs
 from cclab.transport import TcpSender
 
-from conftest import VARIANTS, RecordingCubic
+from conftest import VARIANTS, RecordingCubic, arq_penalty
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

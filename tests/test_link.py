@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cclab.engine import EventLoop, ms, seconds
-from cclab.link import BottleneckLink, LinkConfig, Packet, arq_error_count, arq_penalty
+from cclab.link import BottleneckLink, LinkConfig, Packet, arq_error_count
 from cclab.metrics import backlog_at
+from conftest import arq_penalty
 
 
 class ScriptedRng:
@@ -58,6 +61,27 @@ def test_arq_mean_penalty_tracks_geometric_formula():
     total = sum(arq_penalty(rng, p, delay, 50) for _ in range(n))
     expected = delay * p / (1.0 - p)
     assert abs(total / n - expected) / expected < 0.05
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(min_value=0.0, max_value=1.0), max_retx=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=0.5, max_retx=0, seed=1)
+@example(p=0.0, max_retx=6, seed=2)
+@example(p=1.0, max_retx=8, seed=3)
+def test_service_hold_takes_the_draws_of_arq_error_count(p, max_retx, seed):
+    loop = EventLoop()
+    cfg = LinkConfig(arq_frame_error_prob=p, arq_max_retx=max_retx, residual_loss_prob=0.0)
+    link = BottleneckLink(loop, cfg, random.Random(seed))
+    seen = []
+    link.register_sink(0, lambda packet: seen.append(loop.now))
+    link.offer(pkt(0))
+    loop.run_until(seconds(10))
+    twin = random.Random(seed)
+    expected = (link.serialization_us(1500)
+                + arq_error_count(twin, p, max_retx) * cfg.arq_retx_delay_us)
+    assert seen == [expected]
+    assert link.rng.getstate() == twin.getstate()
 
 
 def test_queue_accepts_at_capacity_minus_one_and_drops_at_capacity():

@@ -2,8 +2,12 @@
 
 import gc
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,25 @@ def test_zero_propagation_delay_run_accounts_every_packet(monkeypatch):
     assert [m.unique_bytes for m in res.flows] == [100 * 1024] * 2
     assert res.link_delivered == res.link_offered - res.link_dropped > 0
     assert links[0].quiescent_accounting_ok()
+
+
+STARTUP_PROBE = """
+import sys
+import cclab
+from cclab.config import load_config
+from cclab.runner import run_single
+config = load_config(text="[experiment]\\nduration_s = 5\\n")
+run_single(config, seed=1)
+print(",".join(m for m in ("concurrent.futures", "multiprocessing", "logging", "fractions")
+               if m in sys.modules))
+"""
+
+
+def test_a_single_run_loads_neither_the_pool_nor_logging_nor_fractions():
+    # only `matrix --workers N > 1` needs the process pool, and only beta
+    # keys need Fraction; a fresh interpreter shows what importing costs
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
