@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -140,8 +141,10 @@ def _beta_fraction(text: str) -> tuple[int, int]:
 
 
 def _beta_text(pair: tuple[int, int]) -> str:
-    from fractions import Fraction   # as in _beta_fraction
-    return str(Fraction(*pair))
+    """`str(Fraction(n, d))` for n, d > 0, without importing `fractions`."""
+    n, d = pair
+    g = math.gcd(n, d)
+    return f"{n // g}" if d == g else f"{n // g}/{d // g}"
 
 
 def _list(item):

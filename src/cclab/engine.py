@@ -2,24 +2,24 @@
 
 All simulation time is kept in whole microseconds so that replaying a
 run yields bit-identical event ordering on any platform.  Events are
-keyed `(fire_at, seq)`, where `seq` counts schedule calls, so events
-that share a fire time are dispatched in insertion order.  The heap
-holds `(fire_at, seq, fn, arg)` tuples and compares them in C; `seq` is
+keyed `(fire_at, seq)`, where `seq` counts filed events, so events that
+share a fire time are dispatched in filing order.  The heap holds
+`(fire_at, seq, fn, arg)` tuples and compares them in C; `seq` is
 unique, so a comparison never reaches `fn`.
 
 There are two kinds of event.  `post(fire_at, fn, arg)` files an event
 that cannot be cancelled and, when it fires, calls `fn(arg)`: no handle
-and no closure are built, which suits the packet and ACK path, where
-every hop is a fire-and-forget call with one argument.  `schedule`
-returns an `EventHandle` that can be cancelled or moved; its entry is
-`(fire_at, seq, None, handle)`.  Both take one `seq` from the same
-counter, so mixing them keeps insertion order among equal fire times.
+and no closure are built.  Every event of a run is posted but the
+retransmission timer's: `schedule` returns an `EventHandle` that can be
+cancelled or moved, and its entry is `(fire_at, seq, None, handle)`.
+Both take one `seq` from the same counter, so mixing them keeps filing
+order among equal fire times.
 
 `reschedule` moves a pending event and dispatches it exactly where
 `cancel()` followed by `schedule()` would: it takes a fresh `seq` either
 way.  A move to a later time only updates the handle; its old heap entry
-is filed again under the new key when it surfaces, so restarting a
-retransmission timer, the commonest move, allocates no new event.
+is filed again under the new key when it surfaces, so restarting the
+timer, the commonest move, allocates no new event.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def seconds(value: float) -> SimTime:
 
 
 class ScheduleInPastError(ValueError):
-    """Raised when an event is scheduled before the current clock."""
+    """Raised when an event is filed, or the loop run, before the current clock."""
 
 
 class EventHandle:
@@ -99,9 +99,6 @@ class EventLoop:
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, fn, arg))
 
-    def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> EventHandle:
-        return self.schedule(self.now + delay, action)
-
     def reschedule(self, handle: EventHandle, fire_at: SimTime) -> EventHandle:
         """Move a pending event to fire_at; returns the handle that now owns it.
 
@@ -125,8 +122,11 @@ class EventLoop:
         """Dispatch every pending event with fire_at <= t_end, in order.
 
         Returns the number of events processed.  On return the clock
-        sits at t_end even if the queue drained early.
+        sits at t_end even if the queue drained early; a t_end before
+        the clock would move it back, and raises.
         """
+        if t_end < self.now:
+            raise ScheduleInPastError(f"cannot run until {t_end} us; clock is at {self.now} us")
         heap = self._heap
         heappop = heapq.heappop
         dispatched = 0

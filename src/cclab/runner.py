@@ -46,10 +46,6 @@ class RunResult:
     # the link's (times, queue lengths) history, with keep_backlog_probe
     backlog_probe: tuple[list[int], list[int]] | None = field(repr=False, default=None)
 
-    @property
-    def per_flow_goodput_bps(self) -> list[float]:
-        return [f.goodput_bps for f in self.flows]
-
 
 class _FlowPipe:
     """Receiver side of one flow plus the ACK return path."""
@@ -99,33 +95,31 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         sender.start(start_at)
         senders.append(sender)
 
+    # A row at tick t reads the state before any event at t: the loop runs
+    # to t - 1 only, and the clock is in whole microseconds.
     timeseries: list[tuple] = []
-    if capture_timeseries:
-        interval_us = max(1, round(config.sample_interval_ms * 1000))
-
-        def sample() -> None:
-            t = loop.now
-            for s in senders:
-                c = s.controller
-                timeseries.append((t, s.flow_id, variant, c.cwnd_segments(),
-                                   c.ssthresh_segments(), s.srtt_us(),
-                                   s.rto_current_us, s.snd_una,
-                                   s.retransmissions, s.timeouts))
-            if t < horizon_us and not all(s.done_at is not None for s in senders):
-                loop.schedule_in(interval_us, sample)
-
-        loop.schedule(0, sample)
-
     try:
+        if capture_timeseries:
+            interval_us = max(1, round(config.sample_interval_ms * 1000))
+            for t in range(0, horizon_us + 1, interval_us):
+                if t:
+                    loop.run_until(t - 1)
+                for s in senders:
+                    c = s.controller
+                    timeseries.append((t, s.flow_id, variant, c.cwnd_segments(),
+                                       c.ssthresh_segments(), s.srtt_us(),
+                                       s.rto_current_us, s.snd_una,
+                                       s.retransmissions, s.timeouts))
+                if all(s.done_at is not None for s in senders):
+                    break
         loop.run_until(horizon_us)
     finally:
         # Break the run's reference cycles (pending events -> actions ->
-        # senders and link -> loop, link sinks <-> pipes, the sampler's
-        # reference to itself) so that a finished run is freed as soon as
-        # it is dropped, not when the cyclic collector next gets to it.
+        # senders and link -> loop, link sinks <-> pipes) so that a finished
+        # run is freed as soon as it is dropped, not when the cyclic
+        # collector next gets to it.
         loop.clear()
         link.clear_sinks()
-        sample = None
 
     flow_metrics = []
     for s in senders:

@@ -194,7 +194,7 @@ class TcpSender:
     # app side
 
     def start(self, at_us: SimTime) -> None:
-        self.loop.schedule(at_us, self.maybe_send)
+        self.loop.post(at_us, TcpSender.maybe_send, self)
 
     def _app_drained(self) -> bool:
         if self.total_bytes is not None:
@@ -262,7 +262,7 @@ class TcpSender:
     # timer
 
     def _arm_timer(self) -> None:
-        self._timer = self.loop.schedule_in(self.rto_current_us, self._on_timer)
+        self._timer = self.loop.schedule(self.loop.now + self.rto_current_us, self._on_timer)
 
     def _restart_timer(self) -> None:
         if self._timer is None:

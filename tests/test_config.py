@@ -2,12 +2,14 @@
 
 import configparser
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, load_config,
-                          parse_scenario)
+from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, _beta_text,
+                          load_config, parse_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,6 +69,11 @@ tcp_friendly = false
     again = load_config(text=cfg.canonical_text())
     assert again.config_hash() == cfg.config_hash()
     assert again.bic.fast_convergence is False
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
+def test_beta_text_is_the_reduced_fraction(n, d):
+    assert _beta_text((n, d)) == str(Fraction(n, d))
 
 
 def test_hash_changes_when_any_key_changes():

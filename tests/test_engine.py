@@ -32,6 +32,19 @@ def test_scheduling_in_the_past_raises():
         loop.schedule(5, lambda: None)
 
 
+def test_running_until_before_the_clock_raises_and_keeps_it():
+    loop = EventLoop()
+    hits = []
+    loop.post(9, hits.append, "kept")
+    loop.run_until(5)
+    with pytest.raises(ScheduleInPastError):
+        loop.run_until(4)
+    assert loop.now == 5
+    loop.run_until(5)       # running to the clock itself is a no-op
+    assert loop.run_until(9) == 1
+    assert hits == ["kept"]
+
+
 def test_run_until_empty_queue_advances_clock():
     loop = EventLoop()
     assert loop.run_until(seconds(180)) == 0
@@ -77,7 +90,7 @@ def test_handler_reentrancy_keeps_clock_monotone():
     def chain():
         seen.append(loop.now)
         if len(seen) < 5:
-            loop.schedule_in(7, chain)
+            loop.schedule(loop.now + 7, chain)
 
     loop.schedule(0, chain)
     loop.run_until(seconds(1))
@@ -93,8 +106,8 @@ def test_replay_produces_identical_trace():
         def spawn(depth):
             trace.append((loop.now, f"spawn{depth}"))
             if depth < 40:
-                loop.schedule_in(3, lambda: spawn(depth + 1))
-                loop.schedule_in(5, lambda: trace.append((loop.now, f"leaf{depth}")))
+                loop.schedule(loop.now + 3, lambda: spawn(depth + 1))
+                loop.schedule(loop.now + 5, lambda: trace.append((loop.now, f"leaf{depth}")))
 
         loop.schedule(0, lambda: spawn(0))
         loop.run_until(seconds(1))

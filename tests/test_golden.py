@@ -13,7 +13,8 @@ link-layer retransmissions get abandoned, which no default run does:
 they drop packets at the server and time out on every flow.  The
 lossy short points lose the final, short segment of a transfer: it is
 resent at its own length (once for newreno, twice for cubic), and Karn's
-rule voids the timing of the resent probes.
+rule voids the timing of the resent probes.  The sampled points pin the
+rule that a row reads the state before any event at its microsecond.
 """
 
 import hashlib
@@ -69,6 +70,19 @@ LOSSY_SHORT_LINK = ("[link]\narq_frame_error_prob = 0.3\narq_max_retx = 1\n"
                     "residual_loss_prob = 0.5\n")
 
 
+# the same points sampled every SAMPLED_MS: seed 1510 starts its flow on the
+# 4 ms grid, so many ACKs arrive at the very microsecond of a row, which
+# reads the state before them
+GOLDEN_SAMPLED = {
+    ("newreno", 1, 1510, 60, None):
+        "857e859b5f64c3c360312a2f30d271abf8817c9f3769c0ced0e443230f1d0d84",
+    ("cubic", 1, 1510, 60, None):
+        "8487710f9dc5f67ad5b68c58d2ce7c815fd987422bc83103e901eb8329f1c232",
+}
+
+SAMPLED_MS = 80
+
+
 def _config_text(variant, flows, seed, duration_s, size_kb):
     text = f"[experiment]\nvariant = {variant}\nflows = {flows}\nseed = {seed}\n"
     if size_kb is None:
@@ -103,3 +117,9 @@ def test_arq_loss_outputs_match_golden_hash(point, tmp_path):
 def test_lossy_short_outputs_match_golden_hash(point, tmp_path):
     text = _config_text(*point) + LOSSY_SHORT_LINK
     assert _output_hash(text, tmp_path) == GOLDEN_LOSSY_SHORT[point]
+
+
+@pytest.mark.parametrize("point", list(GOLDEN_SAMPLED), ids=lambda p: "-".join(map(str, p)))
+def test_sampled_outputs_match_golden_hash(point, tmp_path):
+    text = _config_text(*point) + f"sample_interval_ms = {SAMPLED_MS}\n"
+    assert _output_hash(text, tmp_path) == GOLDEN_SAMPLED[point]

@@ -7,6 +7,8 @@ import pickle
 import random
 import subprocess
 import sys
+from bisect import bisect_left
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -51,7 +53,7 @@ def test_four_flow_run_shape():
     assert len(res.flows) == 4
     assert [m.flow_id for m in res.flows] == [0, 1, 2, 3]
     assert 0.25 <= res.jain_index <= 1.0
-    assert res.aggregate_goodput_bps == pytest.approx(sum(res.per_flow_goodput_bps))
+    assert res.aggregate_goodput_bps == pytest.approx(sum(f.goodput_bps for f in res.flows))
 
 
 def test_flow_starts_fall_inside_the_stagger_window():
@@ -100,6 +102,62 @@ def test_timeseries_rows_match_the_declared_columns(tmp_path):
     assert lines[0] == "# cclab-timeseries-v1"
     assert lines[1] == ",".join(TIMESERIES_COLUMNS)
     assert len(lines) == 2 + len(res.timeseries)
+
+
+@pytest.mark.parametrize("variant", ["newreno", "westwood+", "bic", "cubic"])
+def test_a_row_reads_the_state_before_any_event_at_its_microsecond(variant, monkeypatch):
+    # seed 1510 starts its flow on the 4 ms grid, so at 80 ms sampling
+    # many ACKs arrive at the very microsecond of a row
+    senders = []
+
+    class AckLog(TcpSender):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.acks = []
+            senders.append(self)
+
+        def on_ack(self, ack):
+            self.acks.append((self.loop.now, ack))
+            super().on_ack(ack)
+
+    monkeypatch.setattr(cclab.runner, "TcpSender", AckLog)
+    cfg = short_config(duration_s=20, sample_interval_ms=80)
+    res = run_single(cfg, seed=1510, variant=variant, capture_timeseries=True)
+    acks = senders[0].acks
+    times = [at for at, _ in acks]
+    highest = list(accumulate((ack for _, ack in acks), max, initial=0))
+    assert len(res.timeseries) == 251
+    ties = 0
+    for t, _, _, _, _, _, _, acked, _, _ in res.timeseries:
+        before = bisect_left(times, t)
+        assert acked == highest[before], t
+        ties += before < len(times) and times[before] == t
+    assert ties > 0     # the rule decides some rows
+
+
+def test_rows_stop_at_the_horizon():
+    cfg = short_config(duration_s=7.05, flows=2)
+    res = run_single(cfg, seed=9, capture_timeseries=True)
+    for flow_id in (0, 1):
+        times = [row[0] for row in res.timeseries if row[1] == flow_id]
+        assert times == list(range(0, 7_000_001, 100_000))
+
+
+def test_observing_a_run_changes_nothing_else(monkeypatch):
+    loops = []
+
+    class KeptLoop(EventLoop):
+        def __init__(self):
+            super().__init__()
+            loops.append(self)
+
+    monkeypatch.setattr(cclab.runner, "EventLoop", KeptLoop)
+    cfg = short_config(duration_s=20, flows=2, sample_interval_ms=80)
+    plain = run_single(cfg, seed=1510, variant="cubic")
+    observed = run_single(cfg, seed=1510, variant="cubic", capture_timeseries=True)
+    assert observed.timeseries and not plain.timeseries
+    assert loops[0].processed == loops[1].processed > 0
+    assert summary_dict(cfg, observed) == summary_dict(cfg, plain)
 
 
 def test_summary_embeds_config_and_fixed_keys():
@@ -217,19 +275,23 @@ def test_zero_propagation_delay_run_accounts_every_packet(monkeypatch):
 
 STARTUP_PROBE = """
 import sys
+import tempfile
 import cclab
 from cclab.config import load_config
-from cclab.runner import run_single
+from cclab.runner import run_single, write_run_outputs
 config = load_config(text="[experiment]\\nduration_s = 5\\n")
-run_single(config, seed=1)
+result = run_single(config, seed=1, capture_timeseries=True)
+with tempfile.TemporaryDirectory() as out_dir:
+    write_run_outputs(out_dir, config, result)
 print(",".join(m for m in ("concurrent.futures", "multiprocessing", "logging", "fractions")
                if m in sys.modules))
 """
 
 
 def test_a_single_run_loads_neither_the_pool_nor_logging_nor_fractions():
-    # only `matrix --workers N > 1` needs the process pool, and only beta
-    # keys need Fraction; a fresh interpreter shows what importing costs
+    # only `matrix --workers N > 1` needs the process pool, and only parsing
+    # beta keys needs Fraction (the config hash in summary.json does not);
+    # a fresh interpreter shows what importing costs
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
                           capture_output=True, text=True, timeout=60)
