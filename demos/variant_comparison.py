@@ -1,13 +1,13 @@
 """The headline comparison: four variants side by side.
 
 Sweeps all four controllers over single-flow 180 s runs (two seeds per
-cell) and prints the goodput and RTT tables the way measurement papers
+cell) and prints each table the matrix reports the way measurement papers
 lay them out: best value in the row, everyone else tagged with their
 relative distance from it.  Takes a few seconds.
 """
 
 from cclab.config import LabConfig
-from cclab.matrix import render_table, run_matrix
+from cclab.matrix import TABLE_METRICS, render_table, run_matrix
 
 config = LabConfig()
 config.matrix_flows = (1,)
@@ -19,9 +19,9 @@ for cell in cells:
     print(f"ran {cell.scenario_tag} flows={cell.flows} {cell.variant}: {status}")
 
 print()
-for metric in ("goodput_kbps", "mean_rtt_ms", "retx_percent", "timeouts"):
-    print(render_table(cells, metric, "long180s", config.matrix_variants,
-                       config.matrix_flows))
+tag = config.matrix_scenario("long_lived").tag
+for metric in TABLE_METRICS:
+    print(render_table(cells, metric, tag, config.matrix_variants, config.matrix_flows))
 
 print("note the shape: goodput is nearly flat across variants, while the")
 print("binary-search and cubic-curve controllers pay for it with a visibly")

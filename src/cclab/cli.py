@@ -48,18 +48,25 @@ def _apply_run_overrides(config: LabConfig, args) -> None:
     config.validate()
 
 
+def _print_summary(summary: dict) -> None:
+    """The per-flow and aggregate lines, from the figures summary.json stores."""
+    for fm in summary["flows"]:
+        print(f"flow {fm['flow_id']} [{summary['variant']}]: "
+              f"goodput {fm['goodput_kbps']:.1f} Kbps, "
+              f"mean RTT {fm['mean_rtt_ms']:.1f} ms, "
+              f"retx {fm['retx_ratio'] * 100:.2f}%, timeouts {fm['timeouts']}")
+    agg = summary["aggregate"]
+    print(f"aggregate goodput {agg['goodput_kbps']:.1f} Kbps, "
+          f"fairness {agg['jain_index']:.4f}")
+
+
 def cmd_run(args) -> int:
     config = _load_base(args)
     _apply_run_overrides(config, args)
     out_dir = config.out_dir or "out"
     result = run_single(config, seed=config.seed, capture_timeseries=True)
     write_run_outputs(out_dir, config, result)
-    for fm in result.flows:
-        print(f"flow {fm.flow_id} [{fm.variant}]: goodput {fm.goodput_kbps:.1f} Kbps, "
-              f"mean RTT {fm.mean_rtt_ms:.1f} ms, retx {fm.retx_ratio * 100:.2f}%, "
-              f"timeouts {fm.timeouts}")
-    print(f"aggregate goodput {result.aggregate_goodput_bps / 1000:.1f} Kbps, "
-          f"fairness {result.jain_index:.4f}")
+    _print_summary(summary_dict(config, result))
     print(f"outputs in {out_dir}/")
     return 0
 
@@ -118,14 +125,7 @@ def cmd_stats(args) -> int:
         for section in ("flows", "aggregate"):
             if recomputed[section] != stored[section]:
                 mismatches.append(f"replay {section}")
-    for fm in stored["flows"]:
-        print(f"flow {fm['flow_id']} [{stored['variant']}]: "
-              f"goodput {fm['goodput_kbps']:.1f} Kbps, "
-              f"mean RTT {fm['mean_rtt_ms']:.1f} ms, "
-              f"retx {fm['retx_ratio'] * 100:.2f}%, timeouts {fm['timeouts']}")
-    agg = stored["aggregate"]
-    print(f"aggregate goodput {agg['goodput_kbps']:.1f} Kbps, "
-          f"fairness {agg['jain_index']:.4f}")
+    _print_summary(stored)
     if mismatches:
         print(f"VERIFY FAILED: {', '.join(mismatches)}")
         return 1

@@ -11,9 +11,9 @@ There are two kinds of event.  `post(fire_at, fn, arg)` files an event
 that cannot be cancelled and, when it fires, calls `fn(arg)`: no handle
 and no closure are built.  Every event of a run is posted but the
 retransmission timer's: `schedule` returns an `EventHandle` that can be
-cancelled or moved, and its entry is `(fire_at, seq, None, handle)`.
-Both take one `seq` from the same counter, so mixing them keeps filing
-order among equal fire times.
+cancelled or moved, and files it through `post` as the entry
+`(fire_at, seq, None, handle)`.  Both take one `seq` from the same
+counter, so mixing them keeps filing order among equal fire times.
 
 `reschedule` moves a pending event and dispatches it exactly where
 `cancel()` followed by `schedule()` would: it takes a fresh `seq` either
@@ -79,14 +79,8 @@ class EventLoop:
         self.processed = 0
 
     def schedule(self, fire_at: SimTime, action: Callable[[], None]) -> EventHandle:
-        if fire_at < self.now:
-            raise ScheduleInPastError(
-                f"cannot schedule at {fire_at} us; clock is at {self.now} us"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(fire_at, seq, action)
-        heapq.heappush(self._heap, (fire_at, seq, None, handle))
+        handle = EventHandle(fire_at, self._seq, action)   # post takes this seq
+        self.post(fire_at, None, handle)
         return handle
 
     def post(self, fire_at: SimTime, fn: Callable[[object], None], arg: object) -> None:

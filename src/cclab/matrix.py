@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .config import LabConfig
 from .metrics import empirical_cdf, representative_flow
@@ -21,12 +22,14 @@ from .runner import RunResult, run_single
 
 MATRIX_SCHEMA = "cclab-matrix-v1"
 
-# metric key -> (pretty name, better direction)
+# metric key -> (pretty name, better direction, summary digits, per-flow getter);
+# the tables and the summary report these, in this order
 TABLE_METRICS = {
-    "goodput_kbps": ("per-flow goodput [Kbps]", "max"),
-    "mean_rtt_ms": ("mean RTT [ms]", "min"),
-    "retx_percent": ("retransmitted segments [%]", "min"),
-    "timeouts": ("timeouts per flow", "min"),
+    "goodput_kbps": ("per-flow goodput [Kbps]", "max", 3, attrgetter("goodput_kbps")),
+    "mean_rtt_ms": ("mean RTT [ms]", "min", 3, attrgetter("mean_rtt_ms")),
+    "retx_percent": ("retransmitted segments [%]", "min", 4,
+                     lambda fm: fm.retx_ratio * 100.0),
+    "timeouts": ("timeouts per flow", "min", 3, lambda fm: float(fm.timeouts)),
 }
 
 
@@ -47,19 +50,8 @@ class CellResult:
         return not self.error
 
     def mean(self, metric: str) -> float:
-        values = []
-        for run in self.runs:
-            for fm in run.flows:
-                if metric == "goodput_kbps":
-                    values.append(fm.goodput_kbps)
-                elif metric == "mean_rtt_ms":
-                    values.append(fm.mean_rtt_ms)
-                elif metric == "retx_percent":
-                    values.append(fm.retx_ratio * 100.0)
-                elif metric == "timeouts":
-                    values.append(float(fm.timeouts))
-                else:
-                    raise KeyError(metric)
+        *_, get = TABLE_METRICS[metric]
+        values = [get(fm) for run in self.runs for fm in run.flows]
         return sum(values) / len(values)
 
     def mean_jain(self) -> float:
@@ -112,7 +104,7 @@ def run_matrix(config: LabConfig) -> list[CellResult]:
     return cells
 
 
-def format_against_best(value: float, best: float, direction: str) -> str:
+def format_against_best(value: float, best: float) -> str:
     shown = f"{value:.4g}"
     if value == best:
         return f"{shown} (0%)"
@@ -124,7 +116,7 @@ def format_against_best(value: float, best: float, direction: str) -> str:
 
 def render_table(cells: list[CellResult], metric: str, scenario_tag: str,
                  variants: tuple[str, ...], flow_counts: tuple[int, ...]) -> str:
-    pretty, direction = TABLE_METRICS[metric]
+    pretty, direction, _, _ = TABLE_METRICS[metric]
     by_key = {c.key: c for c in cells}
     lines = [f"# {pretty}, scenario {scenario_tag}; relative to the best variant per row",
              "flows," + ",".join(variants)]
@@ -135,7 +127,7 @@ def render_table(cells: list[CellResult], metric: str, scenario_tag: str,
         if not present:
             continue
         best = max(present) if direction == "max" else min(present)
-        rendered = [format_against_best(v, best, direction) if v is not None else "failed"
+        rendered = [format_against_best(v, best) if v is not None else "failed"
                     for v in values]
         lines.append(f"{flows}," + ",".join(rendered))
     return "\n".join(lines) + "\n"
@@ -188,10 +180,8 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
                 "ok": c.ok,
                 "error": c.error,
                 **({
-                    "goodput_kbps": round(c.mean("goodput_kbps"), 3),
-                    "mean_rtt_ms": round(c.mean("mean_rtt_ms"), 3),
-                    "retx_percent": round(c.mean("retx_percent"), 4),
-                    "timeouts": round(c.mean("timeouts"), 3),
+                    **{metric: round(c.mean(metric), digits)
+                       for metric, (_, _, digits, _) in TABLE_METRICS.items()},
                     "jain_index": round(c.mean_jain(), 6),
                     "representative_run_flow": list(c.representative()),
                 } if c.ok else {}),

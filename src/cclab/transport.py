@@ -7,8 +7,11 @@ further duplicates inflate the usable window, and each partial ACK
 repairs exactly one hole without a second decrease.  The timer is
 restarted on the first partial ACK of an episode only, so a long
 repair trickle eventually times out and finishes under slow start.
-After a timeout the send cursor rewinds to the oldest hole; cumulative
-ACKs then skip the cursor over anything the receiver already holds.
+`recovery_point` is RFC 6582's `recover`, set to `snd_max` when a
+recovery starts and at a timeout: no new recovery starts until an ACK
+passes it.  After a timeout the send cursor rewinds to the oldest hole;
+cumulative ACKs then skip the cursor over anything the receiver already
+holds.  The timer runs exactly while data is outstanding (RFC 6298 5.2).
 
 The send queue is the byte range `[snd_una, snd_max)`, cut at multiples
 of `mss` as it was first sent, so every ACK lands on a cut and the front
@@ -87,34 +90,32 @@ class RtoEstimator:
 class TcpReceiver:
     """Cumulative receiver; acks every segment, keeps out-of-order runs.
 
-    `_runs` holds disjoint, non-adjacent (start, end) runs sorted by start;
-    those before `_head` are drained, and cut off once they are half of it.
+    `_runs` holds disjoint, non-adjacent (start, end) runs sorted by start,
+    all above `rcv_nxt`.
     """
 
     def __init__(self) -> None:
         self.rcv_nxt = 0
         self._runs: list[tuple[int, int]] = []
-        self._head = 0
 
     def on_segment(self, seq: int, length: int) -> int:
         end = seq + length
         if seq > self.rcv_nxt:
             self._insert_run(seq, end)
         elif end > self.rcv_nxt:   # else a duplicate: the cumulative ACK stands
-            runs, head = self._runs, self._head
-            while head < len(runs) and runs[head][0] <= end:
-                end = max(end, runs[head][1])
-                head += 1
-            if 2 * head > len(runs):
-                del runs[:head]
-                head = 0
-            self._head, self.rcv_nxt = head, end
+            runs = self._runs
+            i = 0
+            while i < len(runs) and runs[i][0] <= end:
+                end = max(end, runs[i][1])
+                i += 1
+            del runs[:i]
+            self.rcv_nxt = end
         return self.rcv_nxt
 
     def _insert_run(self, start: int, end: int) -> None:
         runs = self._runs
-        i = j = bisect_left(runs, (start,), self._head)   # first run starting at or after start
-        if i > self._head and runs[i - 1][1] >= start:
+        i = j = bisect_left(runs, (start,))   # first run starting at or after start
+        if i and runs[i - 1][1] >= start:
             i -= 1
             start = runs[i][0]
         while j < len(runs) and runs[j][0] <= end:
@@ -144,8 +145,7 @@ class TcpSender:
         self.snd_max = 0
         self.dupack_count = 0
         self.in_recovery = False
-        self.recovery_point = 0
-        self._recover_guard = -1    # suppresses false fast retransmits after a timeout
+        self.recovery_point = -1    # RFC 6582 recover; -1 lets the first segment's loss recover
         self._inflation_segments = 0
         self._partial_seen = False
 
@@ -196,11 +196,6 @@ class TcpSender:
     def start(self, at_us: SimTime) -> None:
         self.loop.post(at_us, TcpSender.maybe_send, self)
 
-    def _app_drained(self) -> bool:
-        if self.total_bytes is not None:
-            return self.snd_max >= self.total_bytes
-        return self.app_stop_us is not None and self.loop.now >= self.app_stop_us
-
     # sending
 
     def maybe_send(self) -> None:
@@ -210,7 +205,7 @@ class TcpSender:
         # Resend what a timeout rewound.  The timeout resends the front and
         # leaves snd_nxt on it, but no maybe_send runs before a new ACK moves
         # snd_nxt past it (the timer path calls none; a dupack cannot start
-        # recovery while snd_una <= _recover_guard): [snd_nxt, snd_max) is left.
+        # recovery while snd_una <= recovery_point): [snd_nxt, snd_max) is left.
         while self.snd_nxt < snd_max:
             seq = self.snd_nxt
             end = min(seq + mss, snd_max)
@@ -218,7 +213,7 @@ class TcpSender:
                 return
             self._retransmit(seq, end)
             self.snd_nxt = end
-        # new data unless the source is drained (_app_drained, inline): nearly every packet
+        # new data unless the source is drained: nearly every packet
         now, total = self.loop.now, self.total_bytes
         if total is None:
             stop = self.app_stop_us
@@ -278,15 +273,13 @@ class TcpSender:
 
     def _on_timer(self) -> None:
         self._timer = None
-        if self.snd_una >= self.snd_max and self._app_drained():
-            return  # nothing outstanding; stale expiry
         self.timeouts += 1
         self._decrease("timeout", self.controller.on_timeout)
         self.rto_current_us = min(self.rto_current_us * 2, self.config.rto_max_us)
         self.in_recovery = False
         self._inflation_segments = 0
         self.dupack_count = 0
-        self._recover_guard = self.snd_max
+        self.recovery_point = self.snd_max
         self.snd_nxt = self.snd_una
         self._probe_end = None   # its timing is void once the cursor rewinds
         self._repair_front()  # _retransmit may arm; the restart keeps one live timer
@@ -317,12 +310,11 @@ class TcpSender:
         self.dupack_count += 1
         if self.dupack_count != self.config.dupack_threshold:
             return
-        if self.snd_una <= self._recover_guard:
+        if self.snd_una <= self.recovery_point:
             return  # still repairing an older episode; no new decrease
         self._decrease("3dupack", self.controller.on_3dupack)
         self.in_recovery = True
         self.recovery_point = self.snd_max
-        self._recover_guard = self.snd_max
         self._inflation_segments = self.config.dupack_threshold
         self._partial_seen = False
         self._repair_front()
@@ -355,7 +347,13 @@ class TcpSender:
                 self.in_recovery = False
                 self._inflation_segments = 0
                 self.dupack_count = 0
-                self._restart_timer()
+                if ack >= self.snd_max:
+                    # If the source is not drained, the maybe_send below arms
+                    # the timer at the same now + rto_current_us, with the seq
+                    # a restart here would take: none is taken in between.
+                    self._cancel_timer()
+                else:
+                    self._restart_timer()
             else:
                 # partial ACK: repair the next hole, no second decrease
                 self._inflation_segments = max(

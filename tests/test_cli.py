@@ -87,6 +87,23 @@ def test_stats_replay_confirms_a_two_flow_short_transfer(tmp_path, capsys):
     assert "fresh replay" in stdout
 
 
+def test_run_and_stats_print_the_same_figures(tmp_path, capsys):
+    # flow 1's goodput is 523.55017 Kbps, stored as 523.55: both commands
+    # print the stored figure (523.5), not the unrounded one (523.6)
+    out = tmp_path / "run"
+    rc, run_out, _ = run_cli(capsys, "run", "--size", "50", "--flows", "2", "--seed", "32",
+                             "--variant", "newreno", "--out", str(out))
+    assert rc == 0
+    rc, stats_out, _ = run_cli(capsys, "stats", str(out))
+    assert rc == 0
+
+    def figures(text):
+        return [line for line in text.splitlines() if line.startswith(("flow ", "aggregate "))]
+
+    assert len(figures(run_out)) == 3
+    assert figures(run_out) == figures(stats_out)
+
+
 def test_replay_catches_tamper_that_arithmetic_misses(run_dir, capsys):
     # the timeout count is a raw counter, not derivable from the other
     # stored fields, so only a re-simulation can contradict it

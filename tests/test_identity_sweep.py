@@ -1,0 +1,61 @@
+"""The byte-identity sweep in tools/ tells equal trees from a changed one."""
+
+import importlib.util
+import json
+import pathlib
+import shutil
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "identity_sweep", ROOT / "tools" / "identity_sweep.py")
+identity_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity_sweep)
+
+# two cheap points of the quick list
+POINTS = [p for p in identity_sweep.points(quick=True) if "/2xshort:50/seed4" in p[0]][:2]
+
+
+def copy_tree(tmp_path, name):
+    tree = tmp_path / name
+    shutil.copytree(ROOT / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def run_sweep(trees, points):
+    lines = []
+    ok = identity_sweep.sweep(tuple(map(str, trees)), points, matrix=False,
+                              emit=lambda line: lines.append(json.loads(line)))
+    return ok, lines
+
+
+def test_full_list_holds_every_row_for_every_variant():
+    assert len(identity_sweep.points()) == 188
+    assert len(identity_sweep.points(quick=True)) == 4 * len(identity_sweep.POINT_ROWS)
+    assert len(POINTS) == 2
+
+
+def test_two_copies_of_one_tree_compare_equal(tmp_path):
+    ok, lines = run_sweep((copy_tree(tmp_path, "a"), copy_tree(tmp_path, "b")), POINTS)
+    assert ok
+    assert [line["point"] for line in lines] == [name for name, _ in POINTS]
+    for line in lines:
+        assert line["outputs_equal"] and line["processed_equal"]
+        assert len(line["sha256"]) == 64
+        assert line["link_delivered"] > 0
+
+
+def test_one_patched_line_reports_a_mismatch(tmp_path):
+    base, patched = copy_tree(tmp_path, "base"), copy_tree(tmp_path, "patched")
+    runner = patched / "src" / "cclab" / "runner.py"
+    text = runner.read_text()
+    line = '"goodput_kbps": round(m.goodput_kbps, 3),'
+    assert text.count(line) == 1
+    runner.write_text(text.replace(line, line.replace(", 3)", ", 2)")))
+    ok, lines = run_sweep((base, patched), POINTS[:1])
+    assert not ok
+    (report,) = lines
+    assert not report["outputs_equal"]
+    assert report["sha256"][0] != report["sha256"][1]
+    assert isinstance(report["link_delivered"], int)   # equal on both sides

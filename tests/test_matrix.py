@@ -24,16 +24,16 @@ def small_cells():
 
 
 def test_best_value_renders_zero_percent_and_others_relative():
-    assert format_against_best(377.0, 377.0, "min") == "377 (0%)"
-    assert format_against_best(383.0, 377.0, "min") == "383 (+1.6%)"
-    assert format_against_best(350.0, 377.0, "max") == "350 (-7.2%)"
+    assert format_against_best(377.0, 377.0) == "377 (0%)"
+    assert format_against_best(383.0, 377.0) == "383 (+1.6%)"
+    assert format_against_best(350.0, 377.0) == "350 (-7.2%)"
 
 
 def test_zero_best_has_no_finite_relative_distance():
     # a timeout-free variant makes the row best 0; the others cannot be
     # expressed as a percentage of it
-    assert format_against_best(0.0, 0.0, "min") == "0 (0%)"
-    assert format_against_best(1.5, 0.0, "min") == "1.5 (n/a)"
+    assert format_against_best(0.0, 0.0) == "0 (0%)"
+    assert format_against_best(1.5, 0.0) == "1.5 (n/a)"
 
 
 def test_matrix_produces_exactly_the_grid(tmp_path):

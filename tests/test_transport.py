@@ -496,6 +496,24 @@ def test_app_stop_drains_and_cancels_timer():
     assert loop.pending() == 0
 
 
+def test_recovery_exit_at_snd_max_after_app_stop_cancels_timer():
+    # RFC 6298 5.2: the timer is off once all data is acknowledged, also
+    # when the ACK that covers snd_max ends a recovery
+    loop, link, sender = make_sender(cwnd0=4)
+    sender.app_stop_us = ms(50)
+    sender.start(0)
+    loop.run_until(ms(100))
+    for _ in range(3):
+        sender.on_ack(0)             # recovery; the drained source sends nothing new
+    assert sender.in_recovery
+    sender.on_ack(4 * MSS)
+    assert not sender.in_recovery
+    assert sender._timer is None
+    assert loop.pending() == 0
+    loop.run_until(seconds(5))
+    assert sender.timeouts == 0
+
+
 def test_short_transfer_completes_and_reports():
     loop = EventLoop()
     cfg = TransportConfig()
