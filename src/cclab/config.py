@@ -106,6 +106,12 @@ class LabConfig:
         specs = [self.scenario, *map(self.matrix_scenario, self.matrix_scenarios)]
         for spec in specs:
             spec.validate()
+        for what, values in (("variants", self.matrix_variants), ("flows", self.matrix_flows),
+                             ("scenarios", [s.tag for s in specs[1:]])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"[matrix] {what} lists {repeated[0]} twice: "
+                                 "each cell would run more than once")
         if any(s.kind == SCENARIO_LONG for s in specs) and specs[0].duration_s <= self.stagger_s:
             raise ValueError(f"duration_s = {specs[0].duration_s:g} must exceed stagger_s = "
                              f"{self.stagger_s:g}: a flow may start after the run ends")

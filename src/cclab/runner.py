@@ -172,18 +172,16 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
 # output writers
 
-def format_segments(value: float) -> str:
-    return "inf" if value == float("inf") else f"{value:.6f}"
+# one row per TIMESERIES_COLUMNS; the two window columns print with 6
+# decimals, and an infinite ssthresh as "inf"
+_TIMESERIES_ROW = "%s,%s,%s,%.6f,%.6f,%s,%s,%s,%s,%s\n"
 
 
 def write_timeseries_csv(path: str, result: RunResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {TIMESERIES_SCHEMA}\n")
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        for row in result.timeseries:
-            (t, fid, var, cwnd, ssthresh, srtt, rto, acked, retx, tmo) = row
-            fh.write(f"{t},{fid},{var},{format_segments(cwnd)},"
-                     f"{format_segments(ssthresh)},{srtt},{rto},{acked},{retx},{tmo}\n")
+        fh.writelines(_TIMESERIES_ROW % row for row in result.timeseries)
 
 
 def summary_dict(config: LabConfig, result: RunResult) -> dict:

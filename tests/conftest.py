@@ -1,22 +1,21 @@
 """Shared fixtures for the acceptance suite.
 
 The comparison campaigns are the expensive part: dozens of seeded runs
-per variant.  They are computed once per session and shared by every
-criterion that reads them.
+per variant.  Each is one `[matrix]` sweep that `run_matrix` runs on 2
+workers; it is computed once per session and shared by every criterion
+that reads it.
 """
 
 import pytest
 
 from cclab.cc import Cubic
-from cclab.config import LabConfig, parse_scenario
+from cclab.config import LabConfig, load_config
 from cclab.link import arq_error_count
+from cclab.matrix import run_matrix
 from cclab.runner import run_single
 
 VARIANTS = ("newreno", "westwood+", "bic", "cubic")
 
-SINGLE_FLOW_SEEDS = tuple(range(1, 21))
-MULTI_FLOW_SEEDS = tuple(range(1, 6))
-SHORT_SEEDS = tuple(range(1, 11))
 PROBE_SEEDS = (1, 2, 3)
 
 
@@ -44,44 +43,45 @@ class RecordingCubic(Cubic):
                                        self.k_seconds, self.cwnd_segments()))
 
 
+def _campaign(text: str):
+    """Run one `[matrix]` campaign on 2 workers.
+
+    Returns the config and (scenario tag, flows, variant) -> the cell's
+    runs, whose seeds are seed, seed + 1, ...  Raises on any failed cell.
+    """
+    config = load_config(text="[experiment]\nworkers = 2\n" + text)
+    cells = run_matrix(config)
+    errors = [f"{cell.key}: {cell.error}" for cell in cells if not cell.ok]
+    if errors:
+        raise RuntimeError("campaign cells failed:\n" + "\n".join(errors))
+    return config, {cell.key: cell.runs for cell in cells}
+
+
 @pytest.fixture(scope="session")
 def single_flow_campaign():
     """variant -> list of 180 s single-flow RunResult over 20 seeds."""
-    config = LabConfig()
-    return {
-        variant: [run_single(config, seed=seed, variant=variant)
-                  for seed in SINGLE_FLOW_SEEDS]
-        for variant in VARIANTS
-    }
+    config, runs = _campaign("[matrix]\nflows = 1\nruns = 20\n")
+    tag = config.matrix_scenario("long_lived").tag
+    return {variant: runs[(tag, 1, variant)] for variant in VARIANTS}
 
 
 @pytest.fixture(scope="session")
 def multi_flow_campaign():
     """(variant, flows) -> list of 600 s homogeneous RunResult over 5 seeds."""
-    config = LabConfig()
-    config.scenario = parse_scenario("long_lived")
-    config.scenario.duration_s = 600.0
-    return {
-        (variant, flows): [run_single(config, seed=seed, variant=variant,
-                                      flows=flows)
-                           for seed in MULTI_FLOW_SEEDS]
-        for variant in VARIANTS for flows in (2, 3, 4)
-    }
+    config, runs = _campaign("duration_s = 600\n[matrix]\nflows = 2,3,4\nruns = 5\n")
+    tag = config.matrix_scenario("long_lived").tag
+    return {(variant, flows): runs[(tag, flows, variant)]
+            for variant in VARIANTS for flows in config.matrix_flows}
 
 
 @pytest.fixture(scope="session")
 def short_transfer_campaign():
     """(variant, size_kb) -> list of short-transfer RunResult over 10 seeds."""
-    config = LabConfig()
-    out = {}
-    for variant in VARIANTS:
-        for size_kb in (50, 500, 1000):
-            scenario = parse_scenario(f"short:{size_kb}")
-            out[(variant, size_kb)] = [
-                run_single(config, seed=seed, variant=variant, scenario=scenario)
-                for seed in SHORT_SEEDS
-            ]
-    return out
+    config, runs = _campaign("[matrix]\nflows = 1\n"
+                             "scenarios = short:50,short:500,short:1000\nruns = 10\n")
+    specs = [config.matrix_scenario(token) for token in config.matrix_scenarios]
+    return {(variant, spec.size_kb): runs[(spec.tag, 1, variant)]
+            for variant in VARIANTS for spec in specs}
 
 
 @pytest.fixture(scope="session")

@@ -169,6 +169,17 @@ def test_validation_rejects_bad_fields():
         load_config(text="[matrix]\nscenarios = sideways\n")
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ("variants = westwood,westwood+", "[matrix] variants lists westwood+ twice"),
+    ("flows = 1,2,1", "[matrix] flows lists 1 twice"),
+    ("scenarios = short:50,short50kb", "[matrix] scenarios lists short50kb twice"),
+], ids=["variants", "flows", "scenarios"])
+def test_repeated_matrix_entries_are_rejected(matrix, message):
+    # a repeated entry would run (and write) the same cell more than once
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(text=f"[matrix]\n{matrix}\n")
+
+
 @pytest.mark.parametrize("text", [
     "[experiment]\nduration_s = 0.3\n",
     "[experiment]\nduration_s = 5\nstagger_s = 5\n",

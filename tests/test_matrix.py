@@ -5,6 +5,7 @@ import json
 from cclab.config import load_config
 from cclab.matrix import (CellResult, _cell_task, format_against_best,
                           render_table, run_matrix, write_matrix_outputs)
+from cclab.runner import run_single, summary_dict
 
 SMALL_MATRIX = """
 [experiment]
@@ -152,3 +153,25 @@ def test_long_lived_cells_run_the_experiment_duration():
     assert cell.ok and cell.scenario_tag == "long20s"
     duration_us = cell.runs[0].flows[0].duration_us
     assert 18_000_000 < duration_us < 20_000_000
+
+
+def test_each_pooled_run_is_the_serial_run_of_its_seed():
+    # the acceptance campaigns in conftest.py read cell.runs as the runs of
+    # seeds seed, seed + 1, ...: hold the pool to exactly those runs
+    cfg = load_config(text="[experiment]\nseed = 42\nduration_s = 20\nworkers = 2\n"
+                           "[matrix]\nvariants = newreno,cubic\nflows = 1,2\n"
+                           "scenarios = long_lived,short:50\nruns = 2\n")
+    cells = run_matrix(cfg)
+    assert len(cells) == 2 * 2 * 2 and all(c.ok for c in cells)
+    for token in cfg.matrix_scenarios:
+        scenario = cfg.matrix_scenario(token)
+        for cell in (c for c in cells if c.scenario_tag == scenario.tag):
+            assert len(cell.runs) == cfg.matrix_runs
+            for i, pooled in enumerate(cell.runs):
+                serial = run_single(cfg, seed=cfg.seed + i, run_index=i,
+                                    variant=cell.variant, flows=cell.flows,
+                                    scenario=scenario)
+                assert summary_dict(cfg, pooled) == summary_dict(cfg, serial)
+                for a, b in zip(pooled.flows, serial.flows, strict=True):
+                    assert a.rtt_samples == b.rtt_samples
+                    assert a.decreases == b.decreases

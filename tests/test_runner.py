@@ -104,6 +104,22 @@ def test_timeseries_rows_match_the_declared_columns(tmp_path):
     assert len(lines) == 2 + len(res.timeseries)
 
 
+def test_an_infinite_ssthresh_is_written_as_inf_until_the_first_decrease(tmp_path):
+    cfg = load_config(text="[experiment]\nduration_s = 10\n"
+                           "[transport]\ninitial_ssthresh = inf\n")
+    res = run_single(cfg, seed=6, capture_timeseries=True)
+    write_run_outputs(str(tmp_path), cfg, res)
+    rows = [line.split(",") for line in
+            (tmp_path / "timeseries.csv").read_text().splitlines()[2:]]
+    col = TIMESERIES_COLUMNS.index("ssthresh_segments")
+    first_cut_us = res.flows[0].decreases[0][0]
+    # a row reads the state before any event at its own microsecond
+    before = {row[col] for row in rows if int(row[0]) <= first_cut_us}
+    after = [row[col] for row in rows if int(row[0]) > first_cut_us]
+    assert before == {"inf"}
+    assert after and all(len(v.partition(".")[2]) == 6 for v in after)
+
+
 @pytest.mark.parametrize("variant", ["newreno", "westwood+", "bic", "cubic"])
 def test_a_row_reads_the_state_before_any_event_at_its_microsecond(variant, monkeypatch):
     # seed 1510 starts its flow on the 4 ms grid, so at 80 ms sampling
