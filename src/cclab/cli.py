@@ -45,7 +45,6 @@ def _apply_run_overrides(config: LabConfig, args) -> None:
     elif args.duration is not None:
         config.scenario = parse_scenario("long_lived")
         config.scenario.duration_s = args.duration
-    config.validate()
 
 
 def _print_summary(summary: dict) -> None:

@@ -43,14 +43,6 @@ class ScenarioSpec:
     def size_bytes(self) -> int:
         return self.size_kb * 1024
 
-    def validate(self) -> None:
-        if self.kind not in (SCENARIO_LONG, SCENARIO_SHORT):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == SCENARIO_LONG and self.duration_s <= 0:
-            raise ValueError("long-lived scenario needs a positive duration")
-        if self.kind == SCENARIO_SHORT and self.size_kb <= 0:
-            raise ValueError("short-transfer scenario needs a positive size")
-
 
 def parse_scenario(token: str) -> ScenarioSpec:
     """`long_lived`, `short:50` or `short50kb`; a bare `short` has size 0."""
@@ -87,25 +79,23 @@ class LabConfig:
     matrix_runs: int = 5
 
     def validate(self) -> None:
+        """Check each key against its range in `KEYS`, then the rules that span keys."""
+        for section, key, path, (_, fmt, ok, need) in KEYS + _RUN_KEYS:
+            value = attrgetter(*path.split())(self)
+            if not ok(value):
+                raise ValueError(f"[{section}] {key} = {fmt(value)} must be {need}")
         self.variant = canonical_variant(self.variant)
-        if self.flows < 1:
-            raise ValueError("flow count must be at least 1")
-        if self.matrix_runs < 1:
-            raise ValueError("repetition count must be at least 1")
-        if self.stagger_s < 0:
-            raise ValueError("stagger cannot be negative")
-        if self.sample_interval_ms <= 0:
-            raise ValueError("sample interval must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.link.validate()
-        self.transport.validate()
         self.matrix_variants = tuple(canonical_variant(v) for v in self.matrix_variants)
-        if any(f < 1 for f in self.matrix_flows):
-            raise ValueError("matrix flow counts must be positive")
+        tp = self.transport
+        if tp.mss > tp.wire_len:
+            raise ValueError(f"[transport] mss = {tp.mss} must not exceed "
+                             f"wire_len = {tp.wire_len}")
+        if tp.rto_min_us > tp.rto_max_us:
+            raise ValueError(f"[transport] rto_min_ms = {tp.rto_min_us / 1000:g} must not "
+                             f"exceed rto_max_ms = {tp.rto_max_us / 1000:g}")
         specs = [self.scenario, *map(self.matrix_scenario, self.matrix_scenarios)]
-        for spec in specs:
-            spec.validate()
+        if any(s.kind == SCENARIO_SHORT and s.size_kb <= 0 for s in specs):
+            raise ValueError("short-transfer scenario needs a positive size")
         for what, values in (("variants", self.matrix_variants), ("flows", self.matrix_flows),
                              ("scenarios", [s.tag for s in specs[1:]])):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -131,7 +121,7 @@ class LabConfig:
         """Every key of `KEYS`, in order, one `[section]` block per section."""
         return "\n".join(
             f"[{section}]\n" + "".join(f"{key} = {fmt(attrgetter(*path.split())(self))}\n"
-                                        for _, key, path, (_, fmt) in rows)
+                                        for _, key, path, (_, fmt, _, _) in rows)
             for section, rows in groupby(KEYS, itemgetter(0)))
 
     def config_hash(self) -> str:
@@ -141,8 +131,6 @@ class LabConfig:
 def _beta_fraction(text: str) -> tuple[int, int]:
     from fractions import Fraction   # here, so that only beta keys load it
     frac = Fraction(text)
-    if not 0 < frac <= 1:
-        raise ValueError(f"decrease factor must be in (0, 1], got {text}")
     return frac.numerator, frac.denominator
 
 
@@ -153,74 +141,113 @@ def _beta_text(pair: tuple[int, int]) -> str:
     return f"{n // g}" if d == g else f"{n // g}/{d // g}"
 
 
-def _list(item):
-    return (lambda text: tuple(item(w.strip()) for w in text.split(",") if w.strip()),
-            lambda values: ",".join(map(str, values)))
+def _any(value) -> bool:
+    return True
 
 
-# codecs: (parse the INI text, format the attribute value)
-_TEXT = (str, str)
-_INT = (int, str)
-_FLOAT = (float, lambda value: format(value, "g"))   # "inf" round-trips too
-_MS = (lambda text: round(float(text) * 1000), lambda us: format(us / 1000, "g"))
-_BETA = (_beta_fraction, _beta_text)
-_BOOL = (lambda text: text.lower() in ("1", "true", "yes", "on"),
-         lambda value: str(value).lower())
+def _g(value: float) -> str:
+    return format(value, "g")      # "inf" round-trips too
+
+
+# codecs: (parse the INI text, format the attribute value, is the value
+# legal, what a legal value is)
+_TEXT = (str, str, _any, "text")
+_INT = (int, str, _any, "an integer")
+_FLOAT = (float, _g, math.isfinite, "a finite number")
+_MS = (lambda text: round(float(text) * 1000), lambda us: format(us / 1000, "g"),
+       _any, "a finite number")
+_BETA = (_beta_fraction, _beta_text, lambda pair: 0 < pair[0] <= pair[1],
+         "a fraction in (0, 1]")
+_BOOL = (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+         lambda value: str(value).lower(), lambda value: isinstance(value, bool),
+         "true or false")
+_SCENARIO = (parse_scenario, attrgetter("kind"),
+             lambda spec: spec.kind in (SCENARIO_LONG, SCENARIO_SHORT),
+             "long_lived, short, short:N or shortNkb")
+
+# each legal range, under the text that names it in error messages; NaN
+# fails every one
+_RANGES = {
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+}
+
+
+def _within(codec, bound: str):
+    parse, fmt, ok, noun = codec
+    in_range = _RANGES[bound]
+    return parse, fmt, lambda value: ok(value) and in_range(value), f"{noun} {bound}"
+
+
+def _list(codec):
+    parse, fmt, ok, noun = codec
+    return (lambda text: tuple(parse(w.strip()) for w in text.split(",") if w.strip()),
+            lambda values: ",".join(map(fmt, values)),
+            lambda values: all(map(ok, values)),
+            f"a comma-separated list, each {noun}")
+
+
+_COUNT = _within(_INT, ">= 1")
 
 # (section, key, LabConfig attribute path, codec), in canonical order.  The
 # hashed text is exactly these keys; defaults live in the dataclasses.  A
 # path of several space-separated attributes takes a tuple-valued codec.
 # `scenario` loads a whole new spec, so it must precede `duration_s` and
-# `size_kb`.
+# `size_kb`.  `LabConfig.validate` checks every value against its codec.
 KEYS = (
     ("experiment", "variant", "variant", _TEXT),
-    ("experiment", "flows", "flows", _INT),
-    ("experiment", "scenario", "scenario", (parse_scenario, attrgetter("kind"))),
-    ("experiment", "duration_s", "scenario.duration_s", _FLOAT),
-    ("experiment", "size_kb", "scenario.size_kb", _INT),
+    ("experiment", "flows", "flows", _COUNT),
+    ("experiment", "scenario", "scenario", _SCENARIO),
+    ("experiment", "duration_s", "scenario.duration_s", _within(_FLOAT, "> 0")),
+    ("experiment", "size_kb", "scenario.size_kb", _within(_INT, ">= 0")),
     ("experiment", "seed", "seed", _INT),
-    ("experiment", "stagger_s", "stagger_s", _FLOAT),
-    ("experiment", "sample_interval_ms", "sample_interval_ms", _FLOAT),
-    ("link", "rate_bps", "link.rate_bps", _INT),
-    ("link", "prop_rtt_ms", "link.prop_rtt_us", _MS),
-    ("link", "queue_capacity", "link.queue_capacity", _INT),
-    ("link", "arq_frame_error_prob", "link.arq_frame_error_prob", _FLOAT),
-    ("link", "arq_retx_delay_ms", "link.arq_retx_delay_us", _MS),
-    ("link", "arq_max_retx", "link.arq_max_retx", _INT),
-    ("link", "residual_loss_prob", "link.residual_loss_prob", _FLOAT),
-    ("transport", "mss", "transport.mss", _INT),
+    ("experiment", "stagger_s", "stagger_s", _within(_FLOAT, ">= 0")),
+    ("experiment", "sample_interval_ms", "sample_interval_ms", _within(_FLOAT, "> 0")),
+    ("link", "rate_bps", "link.rate_bps", _COUNT),
+    ("link", "prop_rtt_ms", "link.prop_rtt_us", _within(_MS, ">= 0")),
+    ("link", "queue_capacity", "link.queue_capacity", _COUNT),
+    ("link", "arq_frame_error_prob", "link.arq_frame_error_prob", _within(_FLOAT, "in [0, 1]")),
+    ("link", "arq_retx_delay_ms", "link.arq_retx_delay_us", _within(_MS, ">= 0")),
+    ("link", "arq_max_retx", "link.arq_max_retx", _within(_INT, ">= 0")),
+    ("link", "residual_loss_prob", "link.residual_loss_prob", _within(_FLOAT, "in [0, 1]")),
+    ("transport", "mss", "transport.mss", _COUNT),
     ("transport", "wire_len", "transport.wire_len", _INT),
-    ("transport", "initial_cwnd", "transport.initial_cwnd_segments", _INT),
-    ("transport", "initial_ssthresh", "transport.initial_ssthresh_segments", _FLOAT),
-    ("transport", "dupack_threshold", "transport.dupack_threshold", _INT),
-    ("transport", "rto_initial_ms", "transport.rto_initial_us", _MS),
-    ("transport", "rto_min_ms", "transport.rto_min_us", _MS),
+    ("transport", "initial_cwnd", "transport.initial_cwnd_segments", _COUNT),
+    # "inf" lifts the slow-start cap, so this float alone may be infinite
+    ("transport", "initial_ssthresh", "transport.initial_ssthresh_segments",
+     _within((float, _g, _any, "a number"), ">= 1")),
+    ("transport", "dupack_threshold", "transport.dupack_threshold", _COUNT),
+    ("transport", "rto_initial_ms", "transport.rto_initial_us", _within(_MS, "> 0")),
+    ("transport", "rto_min_ms", "transport.rto_min_us", _within(_MS, "> 0")),
     ("transport", "rto_max_ms", "transport.rto_max_us", _MS),
     ("newreno", "b", "newreno.beta_num newreno.beta_den", _BETA),
-    ("westwood+", "filter_gain", "westwood.filter_gain", _FLOAT),
-    ("westwood+", "min_interval_ms", "westwood.min_interval_us", _MS),
+    ("westwood+", "filter_gain", "westwood.filter_gain", _within(_FLOAT, "in [0, 1]")),
+    ("westwood+", "min_interval_ms", "westwood.min_interval_us", _within(_MS, "> 0")),
     ("westwood+", "fallback_b", "westwood.fallback_beta_num westwood.fallback_beta_den", _BETA),
     ("bic", "b", "bic.beta_num bic.beta_den", _BETA),
-    ("bic", "s_max", "bic.s_max", _FLOAT),
-    ("bic", "s_min", "bic.s_min", _FLOAT),
-    ("bic", "low_window", "bic.low_window", _FLOAT),
-    ("bic", "probe_start", "bic.probe_start", _FLOAT),
+    ("bic", "s_max", "bic.s_max", _within(_FLOAT, "> 0")),
+    ("bic", "s_min", "bic.s_min", _within(_FLOAT, ">= 0")),
+    ("bic", "low_window", "bic.low_window", _within(_FLOAT, ">= 0")),
+    ("bic", "probe_start", "bic.probe_start", _within(_FLOAT, ">= 0")),
     ("bic", "fast_convergence", "bic.fast_convergence", _BOOL),
-    ("cubic", "c", "cubic.c", _FLOAT),
-    ("cubic", "b", "cubic.b", _FLOAT),
+    ("cubic", "c", "cubic.c", _within(_FLOAT, "> 0")),
+    ("cubic", "b", "cubic.b", _within(_FLOAT, "in (0, 1)")),
     ("cubic", "tcp_friendly", "cubic.tcp_friendly", _BOOL),
     ("cubic", "fast_convergence", "cubic.fast_convergence", _BOOL),
-    ("matrix", "variants", "matrix_variants", _list(str)),
-    ("matrix", "flows", "matrix_flows", _list(int)),
-    ("matrix", "scenarios", "matrix_scenarios", _list(str)),
-    ("matrix", "runs", "matrix_runs", _INT),
+    ("matrix", "variants", "matrix_variants", _list(_TEXT)),
+    ("matrix", "flows", "matrix_flows", _list(_COUNT)),
+    ("matrix", "scenarios", "matrix_scenarios", _list(_TEXT)),
+    ("matrix", "runs", "matrix_runs", _COUNT),
 )
 
 # run settings: read from the file, but they do not change results, so they
 # stay out of the hashed text
 _RUN_KEYS = (
     ("experiment", "out", "out_dir", _TEXT),
-    ("experiment", "workers", "workers", _INT),
+    ("experiment", "workers", "workers", _COUNT),
 )
 
 _LEGAL = {(section, key) for section, key, _, _ in KEYS + _RUN_KEYS}
@@ -237,9 +264,9 @@ def _set(cfg: LabConfig, path: str, value) -> None:
 def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
     """Build a LabConfig from INI text; missing keys keep their defaults.
 
-    An unknown section or key raises ValueError, and so does text that
-    configparser cannot read (no section header, a key set twice); `;`
-    starts an inline comment.
+    An unknown section or key, a value outside its key's range and text
+    that configparser cannot read (no section header, a key set twice)
+    raise ValueError; `;` starts an inline comment.
     """
     try:
         return _load(path, text)
@@ -264,10 +291,14 @@ def _load(path: str | None, text: str | None) -> LabConfig:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
 
     cfg = LabConfig()
-    for section, key, attrs, (parse, _) in KEYS + _RUN_KEYS:
-        value = parser.get(section, key, fallback=None)
-        if value is not None:
-            _set(cfg, attrs, parse(value))
+    for section, key, attrs, (parse, _, _, need) in KEYS + _RUN_KEYS:
+        text = parser.get(section, key, fallback=None)
+        if text is not None:
+            try:
+                value = parse(text)
+            except (KeyError, OverflowError, ValueError, ZeroDivisionError):
+                raise ValueError(f"[{section}] {key} = {text} must be {need}") from None
+            _set(cfg, attrs, value)
     if parser.has_option("experiment", "scenario"):
         token = parser.get("experiment", "scenario")
         if parse_scenario(token).size_kb not in (0, cfg.scenario.size_kb):

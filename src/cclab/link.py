@@ -34,22 +34,6 @@ class LinkConfig:
     arq_max_retx: int = 6
     residual_loss_prob: float = 0.0
 
-    def validate(self) -> None:
-        if self.rate_bps <= 0:
-            raise ValueError("link rate must be positive")
-        if self.prop_rtt_us < 0:
-            raise ValueError("propagation RTT cannot be negative")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be at least 1 packet")
-        if not 0.0 <= self.arq_frame_error_prob <= 1.0:
-            raise ValueError("frame error probability must be in [0, 1]")
-        if not 0.0 <= self.residual_loss_prob <= 1.0:
-            raise ValueError("residual loss probability must be in [0, 1]")
-        if self.arq_max_retx < 0:
-            raise ValueError("arq_max_retx cannot be negative")
-        if self.arq_retx_delay_us < 0:
-            raise ValueError("arq_retx_delay_us cannot be negative")
-
 
 class Packet:
     __slots__ = ("flow_id", "seq", "payload_len", "wire_len")
@@ -85,7 +69,6 @@ class BottleneckLink:
 
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
                  record_backlog: bool = False):
-        config.validate()
         self.loop = loop
         self.config = config
         self.rng = rng

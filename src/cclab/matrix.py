@@ -100,7 +100,7 @@ def run_matrix(config: LabConfig) -> list[CellResult]:
             cells = list(pool.map(_cell_task, tasks))
     else:
         cells = [_cell_task(t) for t in tasks]
-    cells.sort(key=lambda c: (c.scenario_tag, c.flows, c.variant))
+    cells.sort(key=attrgetter("key"))
     return cells
 
 
@@ -141,13 +141,7 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
     os.makedirs(tables_dir, exist_ok=True)
     os.makedirs(cdf_dir, exist_ok=True)
 
-    scenario_tags = []
-    for token in config.matrix_scenarios:
-        tag = config.matrix_scenario(token).tag
-        if tag not in scenario_tags:
-            scenario_tags.append(tag)
-
-    for tag in scenario_tags:
+    for tag in [config.matrix_scenario(token).tag for token in config.matrix_scenarios]:
         for metric in TABLE_METRICS:
             text = render_table(cells, metric, tag, config.matrix_variants,
                                 config.matrix_flows)

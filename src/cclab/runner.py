@@ -66,6 +66,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                capture_timeseries: bool = False,
                keep_backlog_probe: bool = False) -> RunResult:
     """Simulate one run and reduce it to per-flow metrics."""
+    config.validate()   # a config changed in code after loading fails here too
     variant = variant or config.variant
     n_flows = flows if flows is not None else config.flows
     scenario = scenario or config.scenario

@@ -40,18 +40,6 @@ class TransportConfig:
     rto_min_us: SimTime = 200_000
     rto_max_us: SimTime = 60_000_000
 
-    def validate(self) -> None:
-        if self.mss <= 0 or self.wire_len < self.mss:
-            raise ValueError("need 0 < mss <= wire_len")
-        if self.initial_cwnd_segments < 1:
-            raise ValueError("initial cwnd must be at least 1 segment")
-        if not (self.initial_ssthresh_segments >= 1):
-            raise ValueError("initial ssthresh must be >= 1 segment (or inf)")
-        if self.dupack_threshold < 1:
-            raise ValueError("dupack threshold must be positive")
-        if not 0 < self.rto_min_us <= self.rto_max_us:
-            raise ValueError("need 0 < rto_min <= rto_max")
-
 
 class ProtocolError(RuntimeError):
     """An ACK acknowledged data that was never sent."""
@@ -131,7 +119,6 @@ class TcpSender:
     def __init__(self, loop: EventLoop, flow_id: int, config: TransportConfig,
                  controller: Controller, link: BottleneckLink,
                  total_bytes: Optional[int] = None):
-        config.validate()
         self.loop = loop
         self.flow_id = flow_id
         self.config = config

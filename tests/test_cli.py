@@ -15,6 +15,7 @@ import pytest
 from cclab.cli import main
 from cclab.config import load_config
 from cclab.matrix import CellResult
+from test_config import BAD_INPUTS
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,18 @@ def test_bad_run_arguments_are_usage_errors(tmp_path, capsys, args, message):
     rc, _, stderr = run_cli(capsys, "run", *args, "--out", str(tmp_path / "out"))
     assert rc == 2
     assert stderr.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", BAD_INPUTS,
+                         ids=[f"{s}.{k}={v}" for s, k, v in BAD_INPUTS])
+def test_out_of_range_config_is_a_usage_error(tmp_path, capsys, section, key, value):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    rc, _, stderr = run_cli(capsys, "run", "--config", str(bad),
+                            "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith(f"error: [{section}] {key} = {value} must be ")
     assert not (tmp_path / "out").exists()
 
 

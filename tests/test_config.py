@@ -3,13 +3,14 @@
 import configparser
 import re
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, _beta_text,
-                          load_config, parse_scenario)
+from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, _RUN_KEYS,
+                          _beta_text, load_config, parse_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -167,6 +168,100 @@ def test_validation_rejects_bad_fields():
         load_config(text="[matrix]\nflows = 0,1\n")
     with pytest.raises(ValueError):
         load_config(text="[matrix]\nscenarios = sideways\n")
+
+
+# (section, key, value): each loaded before it was bounded, then hung or
+# crashed mid-run (NaN cannot become a µs count; the cube root of a
+# negative float is complex), or was read wrongly (`ture` read as false)
+BAD_INPUTS = [
+    ("transport", "rto_initial_ms", "0"),        # each expiry re-arms at the same µs
+    ("westwood+", "filter_gain", "-3"),
+    ("cubic", "c", "0"),                         # ZeroDivisionError at the first loss
+    ("cubic", "b", "-0.2"),
+    ("cubic", "c", "-0.4"),
+    ("cubic", "tcp_friendly", "ture"),
+    ("experiment", "stagger_s", "nan"),
+    ("experiment", "duration_s", "nan"),
+    ("experiment", "sample_interval_ms", "nan"),
+    ("bic", "s_max", "nan"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_INPUTS,
+                         ids=[f"{s}.{k}={v}" for s, k, v in BAD_INPUTS])
+def test_inputs_that_hung_or_crashed_a_run_fail_at_load(section, key, value):
+    with pytest.raises(ValueError, match=re.escape(f"[{section}] {key} = {value} must be ")):
+        load_config(text=f"[{section}]\n{key} = {value}\n")
+
+
+def test_booleans_are_strict():
+    for text, value in configparser.ConfigParser.BOOLEAN_STATES.items():
+        for spelling in (text, text.upper()):
+            cfg = load_config(text=f"[cubic]\ntcp_friendly = {spelling}\n")
+            assert cfg.cubic.tcp_friendly is value
+    with pytest.raises(ValueError, match=re.escape("[cubic] tcp_friendly = ture")):
+        load_config(text="[cubic]\ntcp_friendly = ture\n")
+
+
+# values just past each end of each range that `KEYS` states, by its text
+PAST_THE_ENDS = {
+    "an integer >= 0": ("-1",),
+    "an integer >= 1": ("0",),
+    "a comma-separated list, each an integer >= 1": ("1,0",),
+    "a finite number > 0": ("0", "inf"),
+    "a finite number >= 0": ("-0.001", "inf"),
+    "a finite number in [0, 1]": ("-0.001", "1.001"),
+    "a finite number in (0, 1)": ("0", "1"),
+    "a number >= 1": ("0.999",),
+    "a fraction in (0, 1]": ("0", "1001/1000"),
+    "true or false": ("ture", "2"),
+}
+# legal values besides the defaults: "inf" lifts the slow-start cap
+ALSO_LEGAL = {"a number >= 1": ("inf",)}
+# rows without a range of their own: any value parses, or a rule that
+# spans keys bounds it (wire_len and rto_max_ms)
+UNBOUNDED = {"text", "an integer", "a finite number",
+             "a comma-separated list, each text",
+             "long_lived, short, short:N or shortNkb"}
+ROWS = KEYS + _RUN_KEYS
+
+
+def test_every_row_states_a_range_this_file_knows():
+    needs = {need for *_, (_, _, _, need) in ROWS}
+    assert needs <= PAST_THE_ENDS.keys() | UNBOUNDED
+
+
+BOUNDED = [row for row in ROWS if row[3][3] in PAST_THE_ENDS]
+FLOATS = [(section, key) for section, key, _, codec in ROWS if "number" in codec[3]]
+
+
+@pytest.mark.parametrize("section, key, path, codec", BOUNDED,
+                         ids=[f"{section}.{key}" for section, key, *_ in BOUNDED])
+def test_each_bound_admits_the_default_and_rejects_past_its_ends(section, key, path, codec):
+    _, fmt, _, need = codec
+    default = fmt(attrgetter(*path.split())(LabConfig()))
+    for value in (default, *ALSO_LEGAL.get(need, ())):
+        load_config(text=f"[{section}]\n{key} = {value}\n")
+    for value in PAST_THE_ENDS[need]:
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key} = {value} must be ")):
+            load_config(text=f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key", FLOATS, ids=[f"{s}.{k}" for s, k in FLOATS])
+def test_nan_is_rejected_for_every_float(section, key):
+    with pytest.raises(ValueError, match=re.escape(f"[{section}] {key} = nan must be ")):
+        load_config(text=f"[{section}]\n{key} = nan\n")
+
+
+def test_a_config_changed_in_code_is_checked_against_the_same_table():
+    cfg = load_config(text="")
+    cfg.cubic.c = 0.0
+    with pytest.raises(ValueError, match=re.escape("[cubic] c = 0 must be ")):
+        cfg.validate()
+    cfg = load_config(text="")
+    cfg.transport.mss = 1501
+    with pytest.raises(ValueError, match=re.escape("[transport] mss = 1501 must not exceed")):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("matrix, message", [

@@ -71,10 +71,10 @@ def test_render_table_shape_and_best_marking():
 
 def test_failed_cell_is_isolated_and_reported():
     cfg = load_config(text=SMALL_MATRIX)
-    cfg.link.queue_capacity = 0          # invalid once the run builds the link
+    cfg.link.queue_capacity = 0          # invalid once the run checks its config
     cell = _cell_task((cfg, "newreno", 1, "short:50"))
     assert not cell.ok
-    assert "queue capacity" in cell.error
+    assert "[link] queue_capacity" in cell.error
     assert cell.runs == []
 
 
