@@ -161,9 +161,17 @@ _BETA = (_beta_fraction, _beta_text, lambda pair: 0 < pair[0] <= pair[1],
 _BOOL = (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
          lambda value: str(value).lower(), lambda value: isinstance(value, bool),
          "true or false")
+_SCENARIO_FORMS = "long_lived, short, short:N or shortNkb"
 _SCENARIO = (parse_scenario, attrgetter("kind"),
-             lambda spec: spec.kind in (SCENARIO_LONG, SCENARIO_SHORT),
-             "long_lived, short, short:N or shortNkb")
+             lambda spec: spec.kind in (SCENARIO_LONG, SCENARIO_SHORT), _SCENARIO_FORMS)
+
+
+def _is_scenario_token(token: str) -> bool:
+    try:
+        parse_scenario(token)
+    except ValueError:
+        return False
+    return True
 
 # each legal range, under the text that names it in error messages; NaN
 # fails every one
@@ -239,7 +247,8 @@ KEYS = (
     ("cubic", "fast_convergence", "cubic.fast_convergence", _BOOL),
     ("matrix", "variants", "matrix_variants", _list(_TEXT)),
     ("matrix", "flows", "matrix_flows", _list(_COUNT)),
-    ("matrix", "scenarios", "matrix_scenarios", _list(_TEXT)),
+    ("matrix", "scenarios", "matrix_scenarios",
+     _list((str, str, _is_scenario_token, _SCENARIO_FORMS))),
     ("matrix", "runs", "matrix_runs", _COUNT),
 )
 

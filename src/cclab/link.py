@@ -8,9 +8,14 @@ landing, and a full buffer overflows in a burst.  Only queue overflow
 drops packets, unless a residual loss probability is configured for
 packets that exhaust their retransmission budget.
 
-Sinks run as a packet leaves the server: one event per packet.  Its ACK
-rides a delay-only reverse channel that never queues and also carries
-the forward hop's propagation delay.
+The server never preempts, so departures have a closed form, Lindley's
+recursion: `D_k = max(A_k, D_{k-1}) + hold_k`.  A packet's ARQ draws,
+and so its hold and its fate, are taken when it is accepted, in
+acceptance order, so the link knows its departure at once and runs its
+sink there and then: the receiver sees each segment at acceptance, in
+delivery order.  The sink's ACK rides a delay-only reverse channel that
+never queues; it is filed for the departure plus both propagation
+halves, so a delivered packet costs one event.
 """
 
 from __future__ import annotations
@@ -35,16 +40,6 @@ class LinkConfig:
     residual_loss_prob: float = 0.0
 
 
-class Packet:
-    __slots__ = ("flow_id", "seq", "payload_len", "wire_len")
-
-    def __init__(self, flow_id: int, seq: int, payload_len: int, wire_len: int):
-        self.flow_id = flow_id
-        self.seq = seq
-        self.payload_len = payload_len
-        self.wire_len = wire_len
-
-
 def arq_error_count(rng: random.Random, error_prob: float, max_retx: int) -> int:
     """Consecutive frame errors for one packet: geometric (mean p / (1 - p)), capped."""
     k = 0
@@ -57,10 +52,21 @@ class BottleneckLink:
     """Shared downlink: one serializer, one droptail queue, in-order delivery.
 
     Packets from all flows compete for the same queue.  The server holds
-    each packet for its serialization time plus any ARQ penalty, then
-    hands it to its flow's sink, half a propagation RTT before it lands:
-    `delivered` counts it once it has landed.  Service is strictly one at
-    a time, so delivery order equals acceptance order.
+    each packet for its serialization time plus any ARQ penalty; the
+    packet lands half a propagation RTT after it departs, and
+    `delivered` counts it once it has landed.  Service is strictly one
+    at a time, so delivery order equals acceptance order.
+
+    State is kept as the departures still ahead, and retired lazily
+    (`_service_done`).  Ties at a departure's microsecond are broken as
+    an event-driven server's completion event would break them: the
+    departure sorts as an entry filed at its service start, and a
+    packet's ACK just after its successor's service start.  Both keys
+    are taken as the packet is accepted, so an entry that another event
+    files at the departure's microsecond sorts after them even when that
+    event runs before the departure.  Counters that change at a service
+    start (`dropped_arq`, `per_flow_drops`, the backlog history) are
+    read between events.
 
     The queue's occupancy history is kept only when the link is built
     with `record_backlog=True`: `backlog_history` then holds parallel
@@ -72,23 +78,28 @@ class BottleneckLink:
         self.loop = loop
         self.config = config
         self.rng = rng
-        self._queue: deque[Packet] = deque()
-        self._busy = False
-        self._sinks: dict[int, Callable[[Packet], None]] = {}
+        self._sinks: dict[int, Callable[[int, int], None]] = {}
         # counters
         self.offered = 0
         self.dropped_tail = 0
-        self.dropped_arq = 0
+        self._dropped_arq = 0
+        self._per_flow_drops: dict[int, int] = {}
         self.one_way_us: SimTime = config.prop_rtt_us // 2
+        # accepted packets not yet departed, oldest first, as (departure,
+        # key of its departure, flow id if ARQ abandons it once served)
+        self._pending: deque[tuple[SimTime, int, int | None]] = deque()
+        self._start_key = 0      # the service-start key of a packet queued behind them
+        self._ack_at: SimTime = 0
+        self._ack_key = 0
         self._landed = 0
         self._flying: deque[SimTime] = deque()   # landing times, oldest first
-        self.per_flow_drops: dict[int, int] = {}
-        self.backlog_history: tuple[list[SimTime], list[int]] | None = (
+        self._history: tuple[list[SimTime], list[int]] | None = (
             ([0], [0]) if record_backlog else None)
 
-    def register_sink(self, flow_id: int, sink: Callable[[Packet], None]) -> None:
+    def register_sink(self, flow_id: int, sink: Callable[[int, int], None]) -> None:
+        """Deliver flow_id's packets as sink(seq, payload_len)."""
         self._sinks[flow_id] = sink
-        self.per_flow_drops.setdefault(flow_id, 0)
+        self._per_flow_drops.setdefault(flow_id, 0)
 
     def clear_sinks(self) -> None:
         """Forget every registered sink; a sink usually holds the link."""
@@ -102,79 +113,126 @@ class BottleneckLink:
         """Packets that have reached the far end of the hop by now."""
         return self._landed + sum(t <= self.loop.now for t in self._flying)
 
-    def offer(self, packet: Packet) -> bool:
+    @property
+    def dropped_arq(self) -> int:
+        """Frames abandoned by ARQ whose service has started by now."""
+        self._service_done()
+        return self._dropped_arq
+
+    @property
+    def per_flow_drops(self) -> dict[int, int]:
+        """Tail and ARQ drops per flow id, as `dropped_arq` counts them."""
+        self._service_done()
+        return self._per_flow_drops
+
+    @property
+    def backlog_history(self) -> tuple[list[SimTime], list[int]] | None:
+        """The (times, queue lengths) lists up to now, or None if not recorded."""
+        self._service_done()
+        return self._history
+
+    def offer(self, flow_id: int, seq: int, payload_len: int, wire_len: int) -> bool:
         """Hand a packet to the link.  Returns False on droptail drop."""
         self.offered += 1
-        if self._busy:
-            if len(self._queue) >= self.config.queue_capacity:
-                self.dropped_tail += 1
-                self.per_flow_drops[packet.flow_id] = (
-                    self.per_flow_drops.get(packet.flow_id, 0) + 1)
-                return False
-            self._queue.append(packet)
-            if self.backlog_history is not None:
-                self._record_backlog()
+        loop = self.loop
+        now = loop.now
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self._service_done()
+        cfg = self.config
+        if not pending:
+            start = now
+            start_key = loop.take_keys(now)
+        elif len(pending) > cfg.queue_capacity:
+            self.dropped_tail += 1
+            self._per_flow_drops[flow_id] = self._per_flow_drops.get(flow_id, 0) + 1
+            return False
         else:
-            self._start_service(packet)
+            start = pending[-1][0]
+            start_key = self._start_key
+            if self._history is not None:
+                self._record_backlog(now, len(pending))
+        # serialization_us inline, then the draws of arq_error_count with the
+        # first inline (most frames stop at it): the same draws in the same order
+        departs = start + wire_len * 8 * US_PER_S // cfg.rate_bps
+        max_retx, rng = cfg.arq_max_retx, self.rng
+        if max_retx and rng.random() < cfg.arq_frame_error_prob:
+            errors = 1 + arq_error_count(rng, cfg.arq_frame_error_prob, max_retx - 1)
+            departs += errors * cfg.arq_retx_delay_us
+            if (errors == max_retx and cfg.residual_loss_prob > 0.0
+                    and rng.random() < cfg.residual_loss_prob):
+                # retransmission budget exhausted and the frame abandoned:
+                # counted when its service starts, now if it did not queue
+                self._start_key = loop.take_keys(departs)
+                if pending:
+                    pending.append((departs, start_key, flow_id))
+                else:
+                    pending.append((departs, start_key, None))
+                    self._count_arq_drop(flow_id)
+                return True
+        # two keys filed at the departure: the successor's service start, then the ACK
+        key = self._start_key = loop.take_keys(departs, 2)
+        pending.append((departs, start_key, None))
+        self._deliver(flow_id, seq, payload_len, departs, key + 1)
         return True
 
     def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
-        """Carry an ACK back as fn(arg) through both propagation halves; no queueing."""
-        loop = self.loop
-        loop.post(loop.now + 2 * self.one_way_us, fn, arg)
+        """From a sink: carry the ACK of the packet being delivered back as fn(arg).
+
+        It fires both propagation halves after the packet departs; the
+        channel never queues.
+        """
+        self.loop.file(self._ack_at, self._ack_key, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
+        self._service_done()
         accepted = self.offered - self.dropped_tail
-        return accepted == self.delivered + self.dropped_arq + len(self._queue) + (
-            1 if self._busy else 0
-        )
+        return accepted == self.delivered + self._dropped_arq + len(self._pending)
 
     # internal
 
-    def _record_backlog(self) -> None:
-        now = self.loop.now
-        times, counts = self.backlog_history
-        if times[-1] == now:
-            counts[-1] = len(self._queue)
+    def _record_backlog(self, at: SimTime, queued: int) -> None:
+        times, counts = self._history
+        if times[-1] == at:
+            counts[-1] = queued
         else:
-            times.append(now)
-            counts.append(len(self._queue))
+            times.append(at)
+            counts.append(queued)
 
-    def _start_service(self, packet: Packet) -> None:
-        cfg = self.config
-        self._busy = True
-        p, max_retx, rng = cfg.arq_frame_error_prob, cfg.arq_max_retx, self.rng
-        # the first draw of arq_error_count inline (most frames stop at it), and
-        # serialization_us inline: the same draws in the same order
-        errors = 1 + arq_error_count(rng, p, max_retx - 1) if max_retx and rng.random() < p else 0
-        hold = packet.wire_len * 8 * US_PER_S // cfg.rate_bps + errors * cfg.arq_retx_delay_us
-        if (cfg.residual_loss_prob > 0.0 and max_retx > 0 and errors == max_retx
-                and rng.random() < cfg.residual_loss_prob):
-            # retransmission budget exhausted and the frame abandoned
-            self.dropped_arq += 1
-            self.per_flow_drops[packet.flow_id] = (
-                self.per_flow_drops.get(packet.flow_id, 0) + 1)
-            packet = None
+    def _count_arq_drop(self, flow_id: int) -> None:
+        self._dropped_arq += 1
+        self._per_flow_drops[flow_id] = self._per_flow_drops.get(flow_id, 0) + 1
+
+    def _service_done(self) -> None:
+        """Retire the departures that have happened by now; each successor starts service.
+
+        A departure at `now` has happened once the event being dispatched
+        sorts after the departure's key.
+        """
         loop = self.loop
-        loop.post(loop.now + hold, self._service_done, packet)
+        now = loop.now
+        pending = self._pending
+        while pending:
+            departs, departure_key, _ = pending[0]
+            if departs > now or (departs == now and departure_key > loop.key):
+                return
+            pending.popleft()
+            if pending:
+                if self._history is not None:
+                    self._record_backlog(departs, len(pending) - 1)
+                abandoned = pending[0][2]
+                if abandoned is not None:
+                    self._count_arq_drop(abandoned)
 
-    def _service_done(self, packet: Packet | None) -> None:
-        """Free the server, serve the next packet, then deliver this one (None: lost)."""
-        self._busy = False
-        if self._queue:
-            nxt = self._queue.popleft()
-            if self.backlog_history is not None:
-                self._record_backlog()
-            self._start_service(nxt)
-        if packet is not None:
-            self._deliver(packet)
-
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver(self, flow_id: int, seq: int, payload_len: int, departs: SimTime,
+                 ack_key: int) -> None:
         now = self.loop.now
         flying = self._flying
         while flying and flying[0] <= now:
             flying.popleft()
             self._landed += 1
-        flying.append(now + self.one_way_us)
-        self._sinks[packet.flow_id](packet)
+        flying.append(departs + self.one_way_us)
+        self._ack_at = departs + 2 * self.one_way_us
+        self._ack_key = ack_key
+        self._sinks[flow_id](seq, payload_len)

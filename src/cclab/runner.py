@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cc import make_controller
 from .config import LabConfig, SCENARIO_LONG, ScenarioSpec
 from .engine import EventLoop, seconds
-from .link import BottleneckLink, Packet
+from .link import BottleneckLink
 from .metrics import (FlowMetrics, goodput_bps, jain_fairness, retx_ratio,
                       throughput_bps)
 from .transport import TcpReceiver, TcpSender
@@ -55,8 +55,8 @@ class _FlowPipe:
         self.sender = sender
         self.receiver = TcpReceiver()
 
-    def on_packet(self, packet: Packet) -> None:
-        ack = self.receiver.on_segment(packet.seq, packet.payload_len)
+    def on_packet(self, seq: int, payload_len: int) -> None:
+        ack = self.receiver.on_segment(seq, payload_len)
         self.link.send_reverse(self.sender.on_ack, ack)
 
 
@@ -70,6 +70,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     variant = variant or config.variant
     n_flows = flows if flows is not None else config.flows
     scenario = scenario or config.scenario
+    # and so do the arguments that stand in for its keys
+    replace(config, variant=variant, flows=n_flows, scenario=scenario).validate()
 
     loop = EventLoop()
     link = BottleneckLink(loop, config.link, random.Random(seed),

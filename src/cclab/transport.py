@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .cc.base import Controller
 from .engine import EventLoop, SimTime
-from .link import BottleneckLink, Packet
+from .link import BottleneckLink
 
 
 @dataclass
@@ -222,7 +222,7 @@ class TcpSender:
                     self.first_send_at = now
             if self._timer is None:
                 self._arm_timer()
-            self.link.offer(Packet(self.flow_id, seq, length, self.config.wire_len))
+            self.link.offer(self.flow_id, seq, length, self.config.wire_len)
 
     def _retransmit(self, seq: int, end: int) -> None:
         self.transmissions += 1
@@ -234,7 +234,7 @@ class TcpSender:
             self._episode_segs.add(seq)
         if self._timer is None:
             self._arm_timer()
-        self.link.offer(Packet(self.flow_id, seq, end - seq, self.config.wire_len))
+        self.link.offer(self.flow_id, seq, end - seq, self.config.wire_len)
 
     def _retransmit_front(self) -> None:
         una = self.snd_una

@@ -194,6 +194,13 @@ def test_inputs_that_hung_or_crashed_a_run_fail_at_load(section, key, value):
         load_config(text=f"[{section}]\n{key} = {value}\n")
 
 
+def test_a_bad_matrix_scenario_token_names_its_section_and_key():
+    with pytest.raises(ValueError, match=re.escape(
+            "[matrix] scenarios = sideways must be a comma-separated list, "
+            "each long_lived, short, short:N or shortNkb")):
+        load_config(text="[matrix]\nscenarios = sideways\n")
+
+
 def test_booleans_are_strict():
     for text, value in configparser.ConfigParser.BOOLEAN_STATES.items():
         for spelling in (text, text.upper()):
@@ -208,6 +215,8 @@ PAST_THE_ENDS = {
     "an integer >= 0": ("-1",),
     "an integer >= 1": ("0",),
     "a comma-separated list, each an integer >= 1": ("1,0",),
+    "a comma-separated list, each long_lived, short, short:N or shortNkb":
+        ("long_lived,sideways",),
     "a finite number > 0": ("0", "inf"),
     "a finite number >= 0": ("-0.001", "inf"),
     "a finite number in [0, 1]": ("-0.001", "1.001"),

@@ -298,3 +298,68 @@ def test_ms_and_seconds_round_to_microseconds():
     assert ms(0.1) == 100
     assert seconds(180) == 180_000_000
     assert seconds(0.25) == 250_000
+
+
+# one op: (kind, delay before firing, delay before the filed-at time), in us
+_FILE_OPS = st.lists(st.tuples(
+    st.sampled_from(("post", "file", "run")),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20)), max_size=60)
+
+
+@given(_FILE_OPS)
+def test_filed_entries_dispatch_in_key_order_beside_posts(ops):
+    # `file` takes the lane when an entry sorts after its tail and the heap
+    # otherwise; either way entries dispatch in (fire_at, key) order
+    loop = EventLoop()
+    log, keys = [], []
+
+    def record(tag):
+        log.append((loop.now, loop.key, tag))
+
+    for kind, delay, filed_after in ops:
+        if kind == "run":
+            loop.run_until(loop.now + delay)
+            continue
+        if kind == "post":
+            loop.post(loop.now + delay, record, len(keys))
+            keys.append(None)
+        else:
+            filed_at = loop.now + filed_after
+            key = loop.take_keys(filed_at)
+            loop.file(filed_at + delay, key, record, len(keys))
+            keys.append(key)
+    assert loop.pending() == len(keys) - len(log)
+    loop.run_until(loop.now + 100)
+    assert sorted(tag for _, _, tag in log) == list(range(len(keys)))
+    order = [(now, key) for now, key, _ in log]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    assert all(keys[tag] in (None, key) for _, key, tag in log)
+    assert loop.processed == len(keys)
+    assert loop.pending() == 0
+
+
+def test_between_events_the_key_sorts_after_every_key_filed_by_now():
+    loop = EventLoop()
+    loop.run_until(7)
+    assert loop.take_keys(7) < loop.key < loop.take_keys(8)
+
+
+def test_pending_and_clear_cover_the_lane():
+    loop = EventLoop()
+    hits = []
+    loop.file(5, loop.take_keys(2), hits.append, "lane")
+    loop.file(3, loop.take_keys(1), hits.append, "heap")   # sorts before the lane's tail
+    loop.post(4, hits.append, "posted")
+    assert loop.pending() == 3
+    loop.clear()
+    assert loop.pending() == 0
+    assert loop.run_until(10) == 0
+    assert hits == []
+
+
+def test_a_counter_past_its_bits_raises():
+    loop = EventLoop()
+    loop.take_keys(0, 1 << 32)
+    with pytest.raises(OverflowError):
+        loop.run_until(1)

@@ -31,7 +31,7 @@ def run_sweep(trees, points):
 
 
 def test_full_list_holds_every_row_for_every_variant():
-    assert len(identity_sweep.points()) == 188
+    assert len(identity_sweep.points()) == 196
     assert len(identity_sweep.points(quick=True)) == 4 * len(identity_sweep.POINT_ROWS)
     assert len(POINTS) == 2
 
@@ -42,7 +42,7 @@ def test_two_copies_of_one_tree_compare_equal(tmp_path):
     assert [line["point"] for line in lines] == [name for name, _ in POINTS]
     for line in lines:
         assert line["outputs_equal"] and line["processed_equal"]
-        assert len(line["sha256"]) == 64
+        assert len(line["sha256"]) == len(line["backlog_sha256"]) == 64
         assert line["link_delivered"] > 0
 
 

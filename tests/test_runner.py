@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from bisect import bisect_left
@@ -205,6 +206,17 @@ def test_link_accounting_reaches_the_summary():
     assert res.link_offered - res.link_dropped >= res.link_delivered
     sent = sum(m.transmissions for m in res.flows)
     assert res.link_offered == sent
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"flows": 0}, "[experiment] flows = 0 must be an integer >= 1"),
+    ({"scenario": ScenarioSpec("short", size_kb=0)}, "short-transfer scenario needs a positive size"),
+    ({"scenario": ScenarioSpec(duration_s=-1)}, "[experiment] duration_s = -1 must be"),
+    ({"variant": "sideways"}, "unknown variant 'sideways'"),
+], ids=["flows", "short_size", "duration", "variant"])
+def test_run_arguments_are_checked_like_the_keys_they_stand_in_for(override, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_single(load_config(text=""), seed=1, **override)
 
 
 def test_backlog_probe_is_optional():

@@ -28,15 +28,15 @@ class RecordingLink:
         self.sender = None
         self._seen = set()
 
-    def offer(self, packet):
-        is_retx = packet.seq in self._seen
-        self._seen.add(packet.seq)
+    def offer(self, flow_id, seq, payload_len, wire_len):
+        is_retx = seq in self._seen
+        self._seen.add(seq)
         if self.sender is not None and not is_retx:
             # new data must respect the usable window; resends of data
             # already charged to the flight are exempt
             s = self.sender
             assert s.outstanding_bytes() <= s.effective_window_segments() * MSS
-        self.sent.append((self.loop.now, packet.seq, is_retx))
+        self.sent.append((self.loop.now, seq, is_retx))
         return True
 
     def fresh_seqs(self):
@@ -429,15 +429,15 @@ class LossyLink:
         self.sender = None
         self.offers = []
 
-    def offer(self, packet):
-        s, seq = self.sender, packet.seq
+    def offer(self, flow_id, seq, payload_len, wire_len):
+        s = self.sender
         assert seq % MSS == 0
-        assert packet.payload_len == min(MSS, self.total - seq)
+        assert payload_len == min(MSS, self.total - seq)
         assert s.snd_una <= s.snd_nxt <= s.snd_max
         drop = len(self.offers) < len(self.drops) and self.drops[len(self.offers)]
         self.offers.append(seq)
         if not drop:
-            ack = self.receiver.on_segment(seq, packet.payload_len)
+            ack = self.receiver.on_segment(seq, payload_len)
             self.loop.post(self.loop.now + ms(50), s.on_ack, ack)
         return True
 
@@ -528,8 +528,8 @@ def test_short_transfer_completes_and_reports():
         acks.append((loop.now, ack))
         sender.on_ack(ack)
 
-    def sink(packet):
-        ack = rcv.on_segment(packet.seq, packet.payload_len)
+    def sink(seq, payload_len):
+        ack = rcv.on_segment(seq, payload_len)
         link.send_reverse(on_ack, ack)
 
     link.register_sink(0, sink)
@@ -552,8 +552,8 @@ def test_clean_channel_run_keeps_sender_and_receiver_consistent():
     rcv = CountingReceiver()
     sender = TcpSender(loop, 0, cfg, ctrl, link)
 
-    def sink(packet):
-        ack = rcv.on_segment(packet.seq, packet.payload_len)
+    def sink(seq, payload_len):
+        ack = rcv.on_segment(seq, payload_len)
         link.send_reverse(sender.on_ack, ack)
 
     link.register_sink(0, sink)

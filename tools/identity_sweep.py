@@ -2,8 +2,10 @@
 
 Each point is one `run_single` with timeseries capture, written out the
 way `cclab run` writes it.  Per point the sweep compares the SHA-256 of
-`summary.json` followed by `timeseries.csv`, and `link_delivered`.  It
-reports `EventLoop.processed` apart: a change may move the number of
+`summary.json` followed by `timeseries.csv`, and `link_delivered`.  The
+point then runs again with `keep_backlog_probe=True`, and the sweep
+compares the SHA-256 of the kept queue history too.  It reports
+`EventLoop.processed` apart: a change may move the number of
 dispatched events on purpose without moving any output byte.  One more
 point runs a `cclab matrix` campaign at 1 and at 2 workers in each tree;
 all four output trees must be byte-equal.
@@ -60,6 +62,15 @@ POINT_ROWS = (
     (2, "120s", (16,), ("link.arq_max_retx=0", "link.arq_frame_error_prob=1.0")),
     (2, "120s", (17,), ("link.arq_frame_error_prob=0.3", "link.arq_max_retx=2",
                         "link.residual_loss_prob=0.5")),
+    # an ARQ hold of 8 + 2 x 46 ms equals the propagation RTT: departures
+    # and ACKs tie at one microsecond
+    (3, "60s", (10,), ("link.arq_frame_error_prob=0.3", "link.arq_retx_delay_ms=46",
+                       "experiment.stagger_s=0")),
+    # frames still queued at the horizon that ARQ will abandon
+    (1, "40s", (114,), ("link.rate_bps=3000000", "link.prop_rtt_ms=160",
+                        "link.arq_retx_delay_ms=92", "link.arq_frame_error_prob=0.3",
+                        "transport.rto_min_ms=96", "experiment.stagger_s=0.5",
+                        "link.arq_max_retx=2", "link.residual_loss_prob=0.5")),
 )
 
 MATRIX_CONFIG = ("[experiment]\nduration_s = 30\n"
@@ -91,7 +102,9 @@ with tempfile.TemporaryDirectory() as out:
     for name in ("summary.json", "timeseries.csv"):
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(fh.read())
+probe = runner.run_single(config, seed=config.seed, keep_backlog_probe=True).backlog_probe
 print(json.dumps({"module": runner.__file__, "sha256": digest.hexdigest(),
+                  "backlog_sha256": hashlib.sha256(json.dumps(probe).encode()).hexdigest(),
                   "link_delivered": result.link_delivered,
                   "processed": loops[0].processed}))
 """
@@ -163,10 +176,10 @@ def _compare(name: str, base: dict, tree: dict) -> dict:
     if "error" in base or "error" in tree:
         line.update(outputs_equal=False, error=[base.get("error"), tree.get("error")])
         return line
-    for key in ("sha256", "link_delivered", "processed"):
+    keys = ("sha256", "backlog_sha256", "link_delivered", "processed")
+    for key in keys:
         line[key] = base[key] if base[key] == tree[key] else [base[key], tree[key]]
-    line["outputs_equal"] = (base["sha256"] == tree["sha256"]
-                             and base["link_delivered"] == tree["link_delivered"])
+    line["outputs_equal"] = all(base[key] == tree[key] for key in keys[:-1])
     line["processed_equal"] = base["processed"] == tree["processed"]
     return line
 
