@@ -20,11 +20,15 @@ class Controller:
     on_ack_growth   new-data cumulative ACK outside loss recovery
     on_ack_observed every ACK including duplicates (bandwidth bookkeeping)
     on_rtt_sample   valid (Karn-filtered) RTT measurement
-    on_3dupack      third duplicate ACK, apply the variant's decrease
-    on_timeout      retransmission timer expiry
-    """
+    on_3dupack      third duplicate ACK: cwnd = ssthresh = the loss window
+    on_timeout      retransmission timer expiry: ssthresh = the loss window,
+                    cwnd = one segment
 
-    name = "base"
+    That loss response is RFC 5681's, shared by every fixed-point law and
+    stated here once.  A law gives two hooks: `_avoidance_growth`, its
+    growth past ssthresh, and `_loss_window_fp`, the window it keeps
+    after a congestion episode, computed from the window at the loss.
+    """
 
     def __init__(self, initial_cwnd_segments: int, initial_ssthresh_segments: float):
         self.cwnd_fp = initial_cwnd_segments * SCALE
@@ -64,13 +68,17 @@ class Controller:
         pass
 
     def on_3dupack(self, now_us: int) -> None:
-        raise NotImplementedError
+        self.cwnd_fp = self.ssthresh_fp = self._loss_window_fp()
 
     def on_timeout(self, now_us: int) -> None:
-        raise NotImplementedError
+        self.ssthresh_fp = self._loss_window_fp()
+        self.cwnd_fp = SCALE
 
     # subclass hooks
 
     def _avoidance_growth(self, now_us: int) -> None:
         # classic AIMD probe: one segment per window of ACKs
         self.cwnd_fp += SCALE * SCALE // self.cwnd_fp
+
+    def _loss_window_fp(self) -> int:
+        raise NotImplementedError

@@ -15,8 +15,6 @@ from .params import SCALE, BicParams, fp_from_segments
 
 
 class Bic(Controller):
-    name = "bic"
-
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: BicParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)
@@ -81,25 +79,23 @@ class Bic(Controller):
 
     # decreases
 
-    def _reduce(self, pre_fp: int) -> int:
-        p = self.params
-        if pre_fp < self._low_window_fp:
-            return max(SCALE, pre_fp // 2)
-        return max(SCALE, pre_fp * p.beta_num // p.beta_den)
+    def _loss_window_fp(self) -> int:
+        p, pre = self.params, self.cwnd_fp
+        if pre < self._low_window_fp:
+            return max(SCALE, pre // 2)
+        return max(SCALE, pre * p.beta_num // p.beta_den)
 
     def on_3dupack(self, now_us: int) -> None:
         p = self.params
         pre = self.cwnd_fp
-        post = self._reduce(pre)
+        super().on_3dupack(now_us)
         if p.fast_convergence and self.epoch_valid and pre < self.cwnd_max_fp:
             # losing ground to a competitor: remember a deflated maximum
             # so the search tops out early and releases share
             self.cwnd_max_fp = pre * (p.beta_num + p.beta_den) // (2 * p.beta_den)
         else:
             self.cwnd_max_fp = pre   # when probing, the reached window is the new max
-        self.cwnd_min_fp = post
-        self.cwnd_fp = post
-        self.ssthresh_fp = post
+        self.cwnd_min_fp = self.cwnd_fp
         self.max_probing = False
         self.epoch_valid = True
         self._reset_round()
@@ -108,11 +104,9 @@ class Bic(Controller):
         # an RTO invalidates the search interval: the capacity estimate the
         # epoch encoded predates the stall, so probe afresh like NewReno
         # until the next fast retransmit seeds a new (min, max) pair
-        post = self._reduce(self.cwnd_fp)
+        super().on_timeout(now_us)
         self.cwnd_max_fp = 0
         self.cwnd_min_fp = 0
-        self.ssthresh_fp = post
-        self.cwnd_fp = SCALE
         self.max_probing = False
         self.epoch_valid = False
         self._reset_round()

@@ -15,8 +15,6 @@ from .params import CubicParams
 
 
 class Cubic(Controller):
-    name = "cubic"
-
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: CubicParams | None = None):
         # no super().__init__(): the float window replaces the fixed-point one

@@ -7,20 +7,11 @@ from .params import SCALE, NewRenoParams
 
 
 class NewReno(Controller):
-    name = "newreno"
-
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: NewRenoParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)
         self.params = params or NewRenoParams()
 
-    def on_3dupack(self, now_us: int) -> None:
+    def _loss_window_fp(self) -> int:
         p = self.params
-        post = max(SCALE, self.cwnd_fp * p.beta_num // p.beta_den)
-        self.cwnd_fp = post
-        self.ssthresh_fp = post
-
-    def on_timeout(self, now_us: int) -> None:
-        p = self.params
-        self.ssthresh_fp = max(SCALE, self.cwnd_fp * p.beta_num // p.beta_den)
-        self.cwnd_fp = SCALE
+        return max(SCALE, self.cwnd_fp * p.beta_num // p.beta_den)

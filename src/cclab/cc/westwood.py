@@ -14,8 +14,6 @@ from .params import SCALE, WestwoodParams, fp_from_segments
 
 
 class WestwoodPlus(Controller):
-    name = "westwood+"
-
     def __init__(self, initial_cwnd: int, initial_ssthresh: float, mss: int,
                  params: WestwoodParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)
@@ -25,8 +23,6 @@ class WestwoodPlus(Controller):
         self.rtt_min_us: int | None = None
         self._interval_start_us: int | None = None
         self._acked_in_interval = 0
-        self.fallback_decreases = 0   # losses seen before any bandwidth sample
-        self.decrease_violations = 0  # BWE * RTT_min above the pre-loss window
 
     # bandwidth estimation
 
@@ -63,30 +59,13 @@ class WestwoodPlus(Controller):
         if self.rtt_min_us is None or rtt_us < self.rtt_min_us:
             self.rtt_min_us = rtt_us
 
-    # decreases
+    # the loss window
 
-    def _target_fp(self) -> int | None:
+    def _loss_window_fp(self) -> int:
         if self.bwe_bytes_per_s is None or self.rtt_min_us is None:
-            return None
+            # no bandwidth sample yet: fall back to a fixed factor
+            p = self.params
+            return max(SCALE, self.cwnd_fp * p.fallback_beta_num // p.fallback_beta_den)
+        # BWE * RTT_min is kept as computed, even above the pre-loss window
         segments = self.bwe_bytes_per_s * (self.rtt_min_us / 1_000_000) / self.mss
         return max(SCALE, fp_from_segments(segments))
-
-    def on_3dupack(self, now_us: int) -> None:
-        target = self._target_fp()
-        if target is None:
-            self.fallback_decreases += 1
-            p = self.params
-            target = max(SCALE, self.cwnd_fp * p.fallback_beta_num // p.fallback_beta_den)
-        elif target > self.cwnd_fp:
-            self.decrease_violations += 1
-        self.cwnd_fp = target
-        self.ssthresh_fp = target
-
-    def on_timeout(self, now_us: int) -> None:
-        target = self._target_fp()
-        if target is None:
-            self.fallback_decreases += 1
-            p = self.params
-            target = max(SCALE, self.cwnd_fp * p.fallback_beta_num // p.fallback_beta_den)
-        self.ssthresh_fp = target
-        self.cwnd_fp = SCALE

@@ -24,8 +24,6 @@ from .transport import TransportConfig
 SCENARIO_LONG = "long_lived"
 SCENARIO_SHORT = "short"
 
-SHORT_SIZES_KB = (50, 100, 500, 1000)
-
 
 @dataclass
 class ScenarioSpec:

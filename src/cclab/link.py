@@ -105,9 +105,6 @@ class BottleneckLink:
         """Forget every registered sink; a sink usually holds the link."""
         self._sinks.clear()
 
-    def serialization_us(self, wire_len: int) -> SimTime:
-        return wire_len * 8 * US_PER_S // self.config.rate_bps
-
     @property
     def delivered(self) -> int:
         """Packets that have reached the far end of the hop by now."""
@@ -152,7 +149,7 @@ class BottleneckLink:
             start_key = self._start_key
             if self._history is not None:
                 self._record_backlog(now, len(pending))
-        # serialization_us inline, then the draws of arq_error_count with the
+        # the serialization time, then the draws of arq_error_count with the
         # first inline (most frames stop at it): the same draws in the same order
         departs = start + wire_len * 8 * US_PER_S // cfg.rate_bps
         max_retx, rng = cfg.arq_max_retx, self.rng

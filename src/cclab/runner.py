@@ -67,11 +67,13 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                keep_backlog_probe: bool = False) -> RunResult:
     """Simulate one run and reduce it to per-flow metrics."""
     config.validate()   # a config changed in code after loading fails here too
-    variant = variant or config.variant
-    n_flows = flows if flows is not None else config.flows
-    scenario = scenario or config.scenario
-    # and so do the arguments that stand in for its keys
-    replace(config, variant=variant, flows=n_flows, scenario=scenario).validate()
+    # and so do the arguments that stand in for its keys, read back from the
+    # checked copy: it holds a variant alias under its canonical name
+    run = replace(config, variant=variant or config.variant,
+                  flows=flows if flows is not None else config.flows,
+                  scenario=scenario or config.scenario)
+    run.validate()
+    variant, n_flows, scenario = run.variant, run.flows, run.scenario
 
     loop = EventLoop()
     link = BottleneckLink(loop, config.link, random.Random(seed),

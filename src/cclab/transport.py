@@ -161,17 +161,6 @@ class TcpSender:
 
     # introspection
 
-    @property
-    def state(self) -> str:
-        if self.in_recovery:
-            return "fast_recovery"
-        if self.controller.in_slow_start():
-            return "slow_start"
-        return "congestion_avoidance"
-
-    def outstanding_bytes(self) -> int:
-        return self.snd_nxt - self.snd_una
-
     def effective_window_segments(self) -> int:
         return self.controller.cwnd_floor() + self._inflation_segments   # 0 outside recovery
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cclab.config import (KEYS, LabConfig, ScenarioSpec, SHORT_SIZES_KB, _RUN_KEYS,
+from cclab.config import (KEYS, LabConfig, ScenarioSpec, _RUN_KEYS,
                           _beta_text, load_config, parse_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -146,7 +146,6 @@ def test_scenario_tag_and_sizes():
     assert ScenarioSpec().tag == "long180s"
     assert ScenarioSpec("short", size_kb=50).tag == "short50kb"
     assert ScenarioSpec("short", size_kb=50).size_bytes == 50 * 1024
-    assert SHORT_SIZES_KB == (50, 100, 500, 1000)
 
 
 def test_validation_rejects_bad_fields():

@@ -53,7 +53,10 @@ def ack_log(link, flow_ids=(0,)):
 def test_serialization_time_1500_bytes_at_1200_kbps():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_200_000)
-    assert link.serialization_us(1500) == ms(10)
+    acks = ack_log(link)
+    offer(link, 0)
+    loop.run_until(seconds(10))
+    assert [t - link.config.prop_rtt_us for t, _, _ in acks] == [ms(10)]
 
 
 def test_arq_penalty_zero_when_error_free():
@@ -94,7 +97,7 @@ def test_service_hold_takes_the_draws_of_arq_error_count(p, max_retx, seed):
     offer(link, 0)
     loop.run_until(seconds(10))
     twin = random.Random(seed)
-    expected = (link.serialization_us(1500)
+    expected = (1500 * 8 * 1_000_000 // cfg.rate_bps
                 + arq_error_count(twin, p, max_retx) * cfg.arq_retx_delay_us)
     assert [t - cfg.prop_rtt_us for t, _, _ in acks] == [expected]
     assert link.rng.getstate() == twin.getstate()

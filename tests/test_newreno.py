@@ -1,9 +1,14 @@
-"""AIMD controller: reciprocal growth, multiplicative decrease."""
+"""AIMD controller: reciprocal growth, multiplicative decrease.
+
+The last test holds every law to the loss response they share.
+"""
 
 from hypothesis import given, strategies as st
 
-from cclab.cc import NewReno
+from cclab.cc import VARIANTS, NewReno, make_controller
 from cclab.cc.params import SCALE
+
+MSS = 1460
 
 
 def test_slow_start_adds_one_segment_per_ack():
@@ -75,3 +80,38 @@ def test_avoidance_growth_telescopes_exactly(start_segments, n_acks):
     for _ in range(n_acks):
         ctrl.on_ack_growth(0)
     assert ctrl.cwnd_fp == expected
+
+
+def _in_state(law, cwnd_fp, ssthresh_fp, epoch, cwnd_max_fp, sample):
+    """A controller of `law` with this window, ssthresh and loss history."""
+    ctrl = make_controller(law, 2, 44.0, MSS)
+    if law == "cubic":
+        ctrl._cwnd, ctrl._ssthresh = cwnd_fp / SCALE, ssthresh_fp / SCALE
+        if epoch:
+            ctrl._start_epoch(0, cwnd_max_fp / SCALE)
+        return ctrl
+    ctrl.cwnd_fp, ctrl.ssthresh_fp = cwnd_fp, ssthresh_fp
+    if law == "bic":
+        ctrl.epoch_valid, ctrl.cwnd_max_fp = epoch, cwnd_max_fp
+    if law == "westwood+" and sample is not None:
+        ctrl.bwe_bytes_per_s = sample[0]
+        ctrl.on_rtt_sample(0, sample[1])
+    return ctrl
+
+
+@given(law=st.sampled_from(VARIANTS),
+       cwnd_fp=st.integers(min_value=SCALE, max_value=1000 * SCALE),
+       ssthresh_fp=st.integers(min_value=SCALE, max_value=1000 * SCALE),
+       epoch=st.booleans(),
+       cwnd_max_fp=st.integers(min_value=SCALE, max_value=1000 * SCALE),
+       sample=st.none() | st.tuples(st.floats(min_value=1.0, max_value=1e7),
+                                    st.integers(min_value=1_000, max_value=2_000_000)))
+def test_every_law_keeps_one_loss_window_after_a_fast_retransmit_or_a_timeout(
+        law, cwnd_fp, ssthresh_fp, epoch, cwnd_max_fp, sample):
+    state = (law, cwnd_fp, ssthresh_fp, epoch, cwnd_max_fp, sample)
+    dupack, timeout = _in_state(*state), _in_state(*state)
+    dupack.on_3dupack(1_000_000)
+    timeout.on_timeout(1_000_000)
+    assert dupack.cwnd_segments() == dupack.ssthresh_segments()
+    assert timeout.cwnd_segments() == 1.0
+    assert timeout.ssthresh_segments() == dupack.ssthresh_segments()

@@ -91,6 +91,15 @@ def test_variant_and_flow_overrides_bypass_the_config():
     assert all(m.variant == "westwood+" for m in res.flows)
 
 
+def test_a_variant_alias_is_written_under_its_canonical_name():
+    config = load_config(text="[experiment]\nduration_s = 5\n")
+    res = run_single(config, 1, variant="westwood", capture_timeseries=True)
+    assert res.variant == "westwood+"
+    assert {m.variant for m in res.flows} == {"westwood+"}
+    assert summary_dict(config, res)["variant"] == "westwood+"
+    assert {row[2] for row in res.timeseries} == {"westwood+"}
+
+
 def test_timeseries_rows_match_the_declared_columns(tmp_path):
     cfg = short_config(duration_s=10)
     res = run_single(cfg, seed=6, capture_timeseries=True)

@@ -35,7 +35,7 @@ class RecordingLink:
             # new data must respect the usable window; resends of data
             # already charged to the flight are exempt
             s = self.sender
-            assert s.outstanding_bytes() <= s.effective_window_segments() * MSS
+            assert s.snd_nxt - s.snd_una <= s.effective_window_segments() * MSS
         self.sent.append((self.loop.now, seq, is_retx))
         return True
 
@@ -174,7 +174,7 @@ def test_slow_start_ack_opens_one_segment():
 
 def test_congestion_avoidance_ack_adds_reciprocal():
     loop, link, sender = make_sender(cwnd0=10, ssthresh0=5.0)
-    assert sender.state == "congestion_avoidance"
+    assert not sender.controller.in_slow_start()
     sender.start(0)
     loop.run_until(0)
     sender.on_ack(MSS)
@@ -229,7 +229,7 @@ def test_third_dupack_halves_and_retransmits_once():
     loop.run_until(ms(100))
     for _ in range(3):
         sender.on_ack(0)
-    assert sender.state == "fast_recovery"
+    assert sender.in_recovery
     assert sender.controller.cwnd_segments() == 10.0
     assert sender.controller.ssthresh_segments() == 10.0
     assert sender.retransmissions == 1
@@ -491,7 +491,7 @@ def test_app_stop_drains_and_cancels_timer():
     sender.start(0)
     loop.run_until(ms(100))
     sender.on_ack(2 * MSS)
-    assert sender.outstanding_bytes() == 0
+    assert sender.snd_nxt - sender.snd_una == 0
     assert sender._timer is None
     assert loop.pending() == 0
 
