@@ -12,8 +12,8 @@ from cclab.cc.params import SCALE, BicParams, CubicParams
 
 print("BIC: binary search from cwnd 80 toward the loss point 100")
 bic = Bic(2, 1.0, BicParams())
-bic.cwnd_fp = 80 * SCALE
-bic.ssthresh_fp = SCALE
+bic.cwnd = 80 * SCALE
+bic.ssthresh = SCALE
 bic.epoch_valid = True
 bic.cwnd_min_fp = 80 * SCALE
 bic.cwnd_max_fp = 100 * SCALE
@@ -23,15 +23,15 @@ for round_no in range(1, 13):
     while bic._round_left > 0:
         bic.on_ack_growth(0)
     marker = "  <- probing past the old maximum" if bic.max_probing else ""
-    print(f"  round {round_no:2d}: cwnd {bic.cwnd_fp / SCALE:10.6f}{marker}")
+    print(f"  round {round_no:2d}: cwnd {bic.cwnd / SCALE:10.6f}{marker}")
 
 print()
 print("Cubic: trajectory after losing at cwnd 100 (b=0.2, c=0.4)")
 cubic = Cubic(2, 200.0, CubicParams(tcp_friendly=False))
-cubic._cwnd = 100.0
-cubic._ssthresh = 1.0
+cubic.cwnd = 100.0
+cubic.ssthresh = 1.0
 cubic.on_3dupack(0)
-print(f"  loss at 100 -> restart from {cubic._cwnd:.1f}, "
+print(f"  loss at 100 -> restart from {cubic.cwnd:.1f}, "
       f"plateau at t=K={cubic.k_seconds:.2f} s")
 for tenths in range(0, 2 * round(10 * cubic.k_seconds) + 1, 5):
     t = tenths / 10

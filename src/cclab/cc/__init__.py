@@ -7,7 +7,7 @@ from .bic import Bic
 from .cubic import Cubic
 from .newreno import NewReno
 from .params import (BicParams, CubicParams, NewRenoParams, WestwoodParams,
-                     SCALE, fp_from_segments, fp_to_segments)
+                     SCALE, fp_from_segments)
 from .westwood import WestwoodPlus
 
 VARIANTS = ("newreno", "westwood+", "bic", "cubic")
@@ -39,5 +39,5 @@ __all__ = [
     "Controller", "NewReno", "WestwoodPlus", "Bic", "Cubic",
     "NewRenoParams", "WestwoodParams", "BicParams", "CubicParams",
     "VARIANTS", "canonical_variant", "make_controller",
-    "SCALE", "fp_from_segments", "fp_to_segments",
+    "SCALE", "fp_from_segments",
 ]

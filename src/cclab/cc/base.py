@@ -1,17 +1,20 @@
-"""Congestion controller base: shared slow start and window representation.
+"""Congestion controller base: shared slow start, loss response and read-outs.
 
-The window lives in decimal fixed point (units of 1e-6 segment).  True
+A law keeps its window in units of `ONE` segment.  The fixed-point laws
+use decimal fixed point, `ONE = SCALE` (units of 1e-6 segment).  True
 rational arithmetic is not usable here: chaining cwnd += 1/cwnd squares
 the denominator on every ACK, so the exact fraction outgrows memory
 within a few dozen ACKs.  Integer micro-segments keep every update
 exact to one quantum, free of float drift, and printable as a short
-decimal.  Cubic does not use it: its trajectory is a closed-form
-curve, so it keeps a float window and nothing else.
+decimal.  Cubic's trajectory is a closed-form curve, so it keeps a
+float window in segments, `ONE = 1.0`, and nothing else.
 """
 
 from __future__ import annotations
 
-from .params import SCALE, INF_FP, fp_from_segments, fp_to_segments
+import math
+
+from .params import SCALE, fp_from_segments
 
 
 class Controller:
@@ -24,40 +27,38 @@ class Controller:
     on_timeout      retransmission timer expiry: ssthresh = the loss window,
                     cwnd = one segment
 
-    That loss response is RFC 5681's, shared by every fixed-point law and
-    stated here once.  A law gives two hooks: `_avoidance_growth`, its
-    growth past ssthresh, and `_loss_window_fp`, the window it keeps
-    after a congestion episode, computed from the window at the loss.
+    Slow start, that loss response and its floor of one segment are RFC
+    5681's, shared by every law and stated here once.  A law gives two
+    hooks: `_avoidance_growth`, its growth past ssthresh, and
+    `_loss_window`, the window it keeps after a congestion episode,
+    computed from the window at the loss.
     """
 
+    ONE = SCALE   # one segment, in the window's units
+
     def __init__(self, initial_cwnd_segments: int, initial_ssthresh_segments: float):
-        self.cwnd_fp = initial_cwnd_segments * SCALE
-        if initial_ssthresh_segments == float("inf"):
-            self.ssthresh_fp = INF_FP
+        self.cwnd = initial_cwnd_segments * SCALE
+        if initial_ssthresh_segments == math.inf:
+            self.ssthresh = math.inf
         else:
-            self.ssthresh_fp = fp_from_segments(initial_ssthresh_segments)
+            self.ssthresh = fp_from_segments(initial_ssthresh_segments)
 
     # representation
 
     def cwnd_segments(self) -> float:
-        return fp_to_segments(self.cwnd_fp)
+        return self.cwnd / self.ONE
 
     def cwnd_floor(self) -> int:
-        return self.cwnd_fp // SCALE
+        return self.cwnd // SCALE
 
     def ssthresh_segments(self) -> float:
-        if self.ssthresh_fp >= INF_FP:
-            return float("inf")
-        return fp_to_segments(self.ssthresh_fp)
-
-    def in_slow_start(self) -> bool:
-        return self.cwnd_fp < self.ssthresh_fp
+        return self.ssthresh / self.ONE
 
     # events
 
     def on_ack_growth(self, now_us: int) -> None:
-        if self.cwnd_fp < self.ssthresh_fp:   # in_slow_start(), inlined
-            self.cwnd_fp += SCALE
+        if self.cwnd < self.ssthresh:
+            self.cwnd += self.ONE
         else:
             self._avoidance_growth(now_us)
 
@@ -68,17 +69,17 @@ class Controller:
         pass
 
     def on_3dupack(self, now_us: int) -> None:
-        self.cwnd_fp = self.ssthresh_fp = self._loss_window_fp()
+        self.cwnd = self.ssthresh = max(self.ONE, self._loss_window())
 
     def on_timeout(self, now_us: int) -> None:
-        self.ssthresh_fp = self._loss_window_fp()
-        self.cwnd_fp = SCALE
+        self.ssthresh = max(self.ONE, self._loss_window())
+        self.cwnd = self.ONE
 
     # subclass hooks
 
     def _avoidance_growth(self, now_us: int) -> None:
         # classic AIMD probe: one segment per window of ACKs
-        self.cwnd_fp += SCALE * SCALE // self.cwnd_fp
+        self.cwnd += SCALE * SCALE // self.cwnd
 
-    def _loss_window_fp(self) -> int:
+    def _loss_window(self) -> float:
         raise NotImplementedError

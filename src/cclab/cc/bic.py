@@ -36,12 +36,12 @@ class Bic(Controller):
     # growth
 
     def _avoidance_growth(self, now_us: int) -> None:
-        if not self.epoch_valid or self.cwnd_fp < self._low_window_fp:
-            self.cwnd_fp += SCALE * SCALE // self.cwnd_fp
+        if not self.epoch_valid or self.cwnd < self._low_window_fp:
+            self.cwnd += SCALE * SCALE // self.cwnd
             return
         if self._round_left == 0:
             self._begin_round()
-        self.cwnd_fp += self._per_ack_fp
+        self.cwnd += self._per_ack_fp
         self._round_left -= 1
         if self._round_left == 0:
             self._finish_round()
@@ -49,28 +49,28 @@ class Bic(Controller):
     def _begin_round(self) -> None:
         if not self.max_probing:
             midpoint = (self.cwnd_min_fp + self.cwnd_max_fp) // 2
-            if midpoint - self.cwnd_fp <= self._s_min_fp:
+            if midpoint - self.cwnd <= self._s_min_fp:
                 # binary search has converged; turn the search around
-                self.cwnd_fp = self.cwnd_max_fp
+                self.cwnd = self.cwnd_max_fp
                 self.max_probing = True
                 self._probe_gap_fp = self._probe_start_fp
-            elif midpoint - self.cwnd_fp <= self._s_max_fp:
+            elif midpoint - self.cwnd <= self._s_max_fp:
                 self._round_target_fp = midpoint
             else:
-                self._round_target_fp = self.cwnd_fp + self._s_max_fp
+                self._round_target_fp = self.cwnd + self._s_max_fp
         if self.max_probing:
             self._round_target_fp = min(self.cwnd_max_fp + self._probe_gap_fp,
-                                        self.cwnd_fp + self._s_max_fp)
-        self._round_left = max(1, self.cwnd_fp // SCALE)
-        step = self._round_target_fp - self.cwnd_fp
+                                        self.cwnd + self._s_max_fp)
+        self._round_left = max(1, self.cwnd // SCALE)
+        step = self._round_target_fp - self.cwnd
         self._per_ack_fp = step // self._round_left if step > 0 else 0
 
     def _finish_round(self) -> None:
-        if self._round_target_fp > self.cwnd_fp:
-            self.cwnd_fp = self._round_target_fp  # absorb integer-division residue
+        if self._round_target_fp > self.cwnd:
+            self.cwnd = self._round_target_fp  # absorb integer-division residue
         if self.max_probing:
             self._probe_gap_fp *= 2
-        self.cwnd_min_fp = self.cwnd_fp  # the reached window becomes the new minimum
+        self.cwnd_min_fp = self.cwnd  # the reached window becomes the new minimum
 
     def _reset_round(self) -> None:
         self._round_left = 0
@@ -79,15 +79,15 @@ class Bic(Controller):
 
     # decreases
 
-    def _loss_window_fp(self) -> int:
-        p, pre = self.params, self.cwnd_fp
+    def _loss_window(self) -> int:
+        p, pre = self.params, self.cwnd
         if pre < self._low_window_fp:
-            return max(SCALE, pre // 2)
-        return max(SCALE, pre * p.beta_num // p.beta_den)
+            return pre // 2
+        return pre * p.beta_num // p.beta_den
 
     def on_3dupack(self, now_us: int) -> None:
         p = self.params
-        pre = self.cwnd_fp
+        pre = self.cwnd
         super().on_3dupack(now_us)
         if p.fast_convergence and self.epoch_valid and pre < self.cwnd_max_fp:
             # losing ground to a competitor: remember a deflated maximum
@@ -95,7 +95,7 @@ class Bic(Controller):
             self.cwnd_max_fp = pre * (p.beta_num + p.beta_den) // (2 * p.beta_den)
         else:
             self.cwnd_max_fp = pre   # when probing, the reached window is the new max
-        self.cwnd_min_fp = self.cwnd_fp
+        self.cwnd_min_fp = self.cwnd
         self.max_probing = False
         self.epoch_valid = True
         self._reset_round()

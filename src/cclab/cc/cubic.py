@@ -5,7 +5,8 @@ last reduction, with K chosen so the curve starts from the post-loss
 window and crosses w_max with zero slope at t = K.  An optional AIMD
 shadow window keeps growth at least as fast as a plain TCP flow would
 manage (the TCP-friendly region).  The window is a float number of
-segments, the controller's only representation of it.
+segments (`ONE = 1.0`), the controller's only representation of it;
+slow start, the loss response and the read-outs are `Controller`'s.
 """
 
 from __future__ import annotations
@@ -15,43 +16,31 @@ from .params import CubicParams
 
 
 class Cubic(Controller):
+    ONE = 1.0
+
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: CubicParams | None = None):
         # no super().__init__(): the float window replaces the fixed-point one
         self.params = params or CubicParams()
-        self._cwnd = float(initial_cwnd)   # segments
-        self._ssthresh = float(initial_ssthresh)
+        self.cwnd = float(initial_cwnd)
+        self.ssthresh = float(initial_ssthresh)
         self.epoch_valid = False
         self.max_win = 0.0
         self.k_seconds = 0.0
         self.epoch_start_us = 0
         self._w_est = 0.0
 
-    # the float window
-
-    def cwnd_segments(self) -> float:
-        return self._cwnd
-
     def cwnd_floor(self) -> int:
-        return int(self._cwnd)
-
-    def ssthresh_segments(self) -> float:
-        return self._ssthresh
-
-    def in_slow_start(self) -> bool:
-        return self._cwnd < self._ssthresh
+        return int(self.cwnd)
 
     def window_at(self, elapsed_seconds: float) -> float:
         """Closed-form window this many seconds after the last reduction."""
         p = self.params
         return p.c * (elapsed_seconds - self.k_seconds) ** 3 + self.max_win
 
-    def on_ack_growth(self, now_us: int) -> None:
-        if self.in_slow_start():
-            self._cwnd += 1.0
-            return
+    def _avoidance_growth(self, now_us: int) -> None:
         if not self.epoch_valid:
-            self._cwnd += 1.0 / self._cwnd  # plain AIMD until the first loss
+            self.cwnd += 1.0 / self.cwnd  # plain AIMD until the first loss
             return
         elapsed = (now_us - self.epoch_start_us) / 1_000_000
         target = self.window_at(elapsed)
@@ -59,11 +48,11 @@ class Cubic(Controller):
             target = 1.0
         if self.params.tcp_friendly:
             b = self.params.b
-            self._w_est += (3.0 * b / (2.0 - b)) / self._cwnd
+            self._w_est += (3.0 * b / (2.0 - b)) / self.cwnd
             if self._w_est > target:
                 target = self._w_est
-        if target > self._cwnd:
-            self._cwnd = target
+        if target > self.cwnd:
+            self.cwnd = target
 
     def _start_epoch(self, now_us: int, pre_loss: float) -> None:
         p = self.params
@@ -72,29 +61,27 @@ class Cubic(Controller):
         self.epoch_start_us = now_us
         self.epoch_valid = True
 
+    def _loss_window(self) -> float:
+        return (1.0 - self.params.b) * self.cwnd
+
     def on_3dupack(self, now_us: int) -> None:
         p = self.params
-        pre = self._cwnd
+        pre = self.cwnd
         if p.fast_convergence and self.epoch_valid and pre < self.max_win:
             # losing ground to a competitor: aim the new curve below the
             # old ceiling so the plateau releases share
             self._start_epoch(now_us, pre * (2.0 - p.b) / 2.0)
         else:
             self._start_epoch(now_us, pre)
-        post = max(1.0, (1.0 - p.b) * pre)
-        self._cwnd = post
-        self._ssthresh = post
-        self._w_est = post
+        super().on_3dupack(now_us)
+        self._w_est = self.cwnd
 
     def on_timeout(self, now_us: int) -> None:
         # an RTO discards the epoch: its curve aims at a stale maximum, and
         # the convex tail beyond it would slam the link.  Grow AIMD-style
         # until the next fast retransmit anchors a fresh curve.
-        pre = self._cwnd
-        post = max(1.0, (1.0 - self.params.b) * pre)
+        super().on_timeout(now_us)
         self.epoch_valid = False
         self.max_win = 0.0
         self.k_seconds = 0.0
-        self._ssthresh = post
-        self._w_est = post
-        self._cwnd = 1.0
+        self._w_est = self.ssthresh

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .base import Controller
-from .params import SCALE, NewRenoParams
+from .params import NewRenoParams
 
 
 class NewReno(Controller):
@@ -12,6 +12,6 @@ class NewReno(Controller):
         super().__init__(initial_cwnd, initial_ssthresh)
         self.params = params or NewRenoParams()
 
-    def _loss_window_fp(self) -> int:
+    def _loss_window(self) -> int:
         p = self.params
-        return max(SCALE, self.cwnd_fp * p.beta_num // p.beta_den)
+        return self.cwnd * p.beta_num // p.beta_den

@@ -5,15 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SCALE = 1_000_000          # fixed-point quanta per segment
-INF_FP = 1 << 62           # stands in for an unbounded ssthresh
 
 
 def fp_from_segments(segments: float) -> int:
     return round(segments * SCALE)
-
-
-def fp_to_segments(fp: int) -> float:
-    return fp / SCALE
 
 
 @dataclass

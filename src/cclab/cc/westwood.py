@@ -10,7 +10,7 @@ is just enough to keep the pipe full with the bottleneck queue empty.
 from __future__ import annotations
 
 from .base import Controller
-from .params import SCALE, WestwoodParams, fp_from_segments
+from .params import WestwoodParams, fp_from_segments
 
 
 class WestwoodPlus(Controller):
@@ -61,11 +61,11 @@ class WestwoodPlus(Controller):
 
     # the loss window
 
-    def _loss_window_fp(self) -> int:
+    def _loss_window(self) -> int:
         if self.bwe_bytes_per_s is None or self.rtt_min_us is None:
             # no bandwidth sample yet: fall back to a fixed factor
             p = self.params
-            return max(SCALE, self.cwnd_fp * p.fallback_beta_num // p.fallback_beta_den)
+            return self.cwnd * p.fallback_beta_num // p.fallback_beta_den
         # BWE * RTT_min is kept as computed, even above the pre-loss window
         segments = self.bwe_bytes_per_s * (self.rtt_min_us / 1_000_000) / self.mss
-        return max(SCALE, fp_from_segments(segments))
+        return fp_from_segments(segments)

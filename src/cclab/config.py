@@ -18,6 +18,7 @@ from operator import attrgetter, itemgetter
 
 from .cc import (VARIANTS, BicParams, CubicParams, NewRenoParams, WestwoodParams,
                  canonical_variant)
+from .engine import ms
 from .link import LinkConfig
 from .transport import TransportConfig
 
@@ -152,7 +153,7 @@ def _g(value: float) -> str:
 _TEXT = (str, str, _any, "text")
 _INT = (int, str, _any, "an integer")
 _FLOAT = (float, _g, math.isfinite, "a finite number")
-_MS = (lambda text: round(float(text) * 1000), lambda us: format(us / 1000, "g"),
+_MS = (lambda text: ms(float(text)), lambda us: format(us / 1000, "g"),
        _any, "a finite number")
 _BETA = (_beta_fraction, _beta_text, lambda pair: 0 < pair[0] <= pair[1],
          "a fraction in (0, 1]")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .cc import make_controller
 from .config import LabConfig, SCENARIO_LONG, ScenarioSpec
-from .engine import EventLoop, seconds
+from .engine import EventLoop, ms, seconds
 from .link import BottleneckLink
 from .metrics import (FlowMetrics, goodput_bps, jain_fairness, retx_ratio,
                       throughput_bps)
@@ -96,7 +96,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             sender.app_stop_us = duration_us
         pipe = _FlowPipe(link, sender)
         link.register_sink(flow_id, pipe.on_packet)
-        start_at = round(stagger_rng.uniform(0.0, config.stagger_s) * 1_000_000)
+        start_at = seconds(stagger_rng.uniform(0.0, config.stagger_s))
         sender.start(start_at)
         senders.append(sender)
 
@@ -105,7 +105,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     timeseries: list[tuple] = []
     try:
         if capture_timeseries:
-            interval_us = max(1, round(config.sample_interval_ms * 1000))
+            interval_us = max(1, ms(config.sample_interval_ms))
             for t in range(0, horizon_us + 1, interval_us):
                 if t:
                     loop.run_until(t - 1)

@@ -36,7 +36,7 @@ class RecordingCubic(Cubic):
         self.curve_samples: list[tuple[int, int, float, float, float]] = []
 
     def on_ack_growth(self, now_us: int) -> None:
-        on_curve = self.epoch_valid and not self.in_slow_start()
+        on_curve = self.epoch_valid and self.cwnd >= self.ssthresh
         super().on_ack_growth(now_us)
         if on_curve:
             self.curve_samples.append((now_us, self.epoch_start_us, self.max_win,

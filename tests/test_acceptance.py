@@ -103,8 +103,8 @@ def test_criterion_02_multiplicative_decrease_ratio(single_flow_campaign):
 
 def test_criterion_03_bic_binary_search_oracle():
     ctrl = Bic(2, 1.0, BicParams())   # s_max 32, s_min 0.01
-    ctrl.cwnd_fp = 80 * SCALE
-    ctrl.ssthresh_fp = SCALE
+    ctrl.cwnd = 80 * SCALE
+    ctrl.ssthresh = SCALE
     ctrl.epoch_valid = True
     ctrl.cwnd_min_fp = 80 * SCALE
     ctrl.cwnd_max_fp = 100 * SCALE
@@ -128,11 +128,11 @@ def test_criterion_03_bic_binary_search_oracle():
     worst = Fraction(0)
     for target in expected[:-1]:
         advance_round()
-        worst = max(worst, abs(Fraction(ctrl.cwnd_fp) - target * SCALE))
+        worst = max(worst, abs(Fraction(ctrl.cwnd) - target * SCALE))
     advance_round()   # convergence: interval collapses onto cwnd_max
 
     ok = (worst <= 2 and ctrl.cwnd_max_fp == 100 * SCALE and ctrl.max_probing
-          and abs(ctrl.cwnd_fp - (100 * SCALE + 10_000)) <= 2)
+          and abs(ctrl.cwnd - (100 * SCALE + 10_000)) <= 2)
     _report("criterion 03 binary search vs oracle", ok,
             f"{len(expected)} rounds, worst drift {float(worst):.2f} quanta "
             f"(<=2e-06 seg), converged to "

@@ -11,8 +11,8 @@ from cclab.cc.params import SCALE, BicParams
 def make_epoch(cwnd, cmin, cmax, **params):
     """Controller in congestion avoidance with a seeded search interval."""
     ctrl = Bic(2, 1.0, BicParams(**params))
-    ctrl.cwnd_fp = int(round(cwnd * SCALE))
-    ctrl.ssthresh_fp = SCALE
+    ctrl.cwnd = int(round(cwnd * SCALE))
+    ctrl.ssthresh = SCALE
     ctrl.epoch_valid = True
     ctrl.cwnd_min_fp = int(round(cmin * SCALE))
     ctrl.cwnd_max_fp = int(round(cmax * SCALE))
@@ -24,7 +24,7 @@ def advance_round(ctrl):
     ctrl.on_ack_growth(0)
     while ctrl._round_left > 0:
         ctrl.on_ack_growth(0)
-    return ctrl.cwnd_fp
+    return ctrl.cwnd
 
 
 def oracle_rounds(cmin, cmax, s_max, s_min):
@@ -88,7 +88,7 @@ def test_deep_probing_is_capped_at_s_max_per_round():
     ctrl = make_epoch(80, 80, 100, s_max=32.0)
     while not ctrl.max_probing:
         advance_round(ctrl)
-    prev = ctrl.cwnd_fp
+    prev = ctrl.cwnd
     for _ in range(16):
         cur = advance_round(ctrl)
         assert cur - prev <= 32 * SCALE + 2
@@ -101,13 +101,13 @@ def test_growth_without_an_epoch_is_plain_aimd():
     ctrl = Bic(10, 1.0)
     assert not ctrl.epoch_valid
     ctrl.on_ack_growth(0)
-    assert ctrl.cwnd_fp == 10 * SCALE + SCALE // 10
+    assert ctrl.cwnd == 10 * SCALE + SCALE // 10
 
 
 def test_growth_below_low_window_is_plain_aimd():
     ctrl = make_epoch(10, 10, 100, low_window=14.0)
     ctrl.on_ack_growth(0)
-    assert ctrl.cwnd_fp == 10 * SCALE + SCALE // 10
+    assert ctrl.cwnd == 10 * SCALE + SCALE // 10
 
 
 def test_loss_while_probing_reduces_by_beta_and_records_max():
@@ -143,7 +143,7 @@ def test_repeated_losses_shrink_the_remembered_max():
     for _ in range(6):
         ctrl.on_3dupack(0)
         maxes.append(ctrl.cwnd_max_fp)
-        ctrl.cwnd_fp = min(ctrl.cwnd_fp + 2 * SCALE, ctrl.cwnd_max_fp - SCALE)
+        ctrl.cwnd = min(ctrl.cwnd + 2 * SCALE, ctrl.cwnd_max_fp - SCALE)
     assert all(b <= a for a, b in zip(maxes, maxes[1:]))
 
 
@@ -157,10 +157,10 @@ def test_loss_below_low_window_halves_like_newreno():
 def test_half_beta_decrease_matches_newreno(pre):
     bic = Bic(2, 44.0, BicParams(beta_num=1, beta_den=2))
     reno = NewReno(2, 44.0)
-    bic.cwnd_fp = reno.cwnd_fp = int(round(pre * SCALE))
+    bic.cwnd = reno.cwnd = int(round(pre * SCALE))
     bic.on_3dupack(0)
     reno.on_3dupack(0)
-    assert bic.cwnd_fp == reno.cwnd_fp
+    assert bic.cwnd == reno.cwnd
 
 
 def test_decrease_never_goes_below_one_segment():

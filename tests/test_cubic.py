@@ -12,8 +12,8 @@ from conftest import RecordingCubic
 
 def make_after_loss(pre=100.0, now_us=0, cls=Cubic, **params):
     ctrl = cls(2, 1.0, CubicParams(**params))
-    ctrl._cwnd = pre
-    ctrl._ssthresh = 1.0
+    ctrl.cwnd = pre
+    ctrl.ssthresh = 1.0
     ctrl.on_3dupack(now_us)
     return ctrl
 
@@ -104,7 +104,7 @@ def test_loss_reduces_by_one_minus_b():
 
 def test_fast_convergence_deflates_the_target_when_below_old_max():
     ctrl = make_after_loss(100.0)          # max_win 100, cwnd 80
-    ctrl._cwnd = 90.0                      # loss strikes before regaining 100
+    ctrl.cwnd = 90.0                      # loss strikes before regaining 100
     ctrl.on_3dupack(1_000_000)
     assert ctrl.max_win == pytest.approx(90.0 * (2.0 - 0.2) / 2.0)
     assert ctrl.cwnd_segments() == pytest.approx(72.0)
@@ -112,15 +112,15 @@ def test_fast_convergence_deflates_the_target_when_below_old_max():
 
 def test_fast_convergence_off_anchors_at_the_loss_point():
     ctrl = make_after_loss(100.0, fast_convergence=False)
-    ctrl._cwnd = 90.0
+    ctrl.cwnd = 90.0
     ctrl.on_3dupack(1_000_000)
     assert ctrl.max_win == pytest.approx(90.0)
 
 
 def test_reduction_floors_at_one_segment():
     ctrl = Cubic(2, 44.0)
-    ctrl._cwnd = 1.0
-    ctrl._ssthresh = 1.0
+    ctrl.cwnd = 1.0
+    ctrl.ssthresh = 1.0
     ctrl.on_3dupack(0)
     assert ctrl.cwnd_segments() == 1.0
 
@@ -162,8 +162,9 @@ def test_curve_samples_record_the_epoch_geometry():
 
 def test_the_float_window_is_the_only_representation():
     ctrl = Cubic(2, 44.0)
-    assert not hasattr(ctrl, "cwnd_fp")
-    assert not hasattr(ctrl, "ssthresh_fp")
+    assert type(ctrl.cwnd) is float and type(ctrl.ssthresh) is float
+    for old in ("_cwnd", "_ssthresh", "cwnd_fp", "ssthresh_fp"):
+        assert not hasattr(ctrl, old)
 
 
 def test_k_shrinks_with_smaller_b():

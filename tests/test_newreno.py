@@ -1,8 +1,10 @@
 """AIMD controller: reciprocal growth, multiplicative decrease.
 
-The last test holds every law to the loss response they share.
+The slow-start tests and the last test hold every law to the slow start
+and the loss response they share.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cclab.cc import VARIANTS, NewReno, make_controller
@@ -11,33 +13,37 @@ from cclab.cc.params import SCALE
 MSS = 1460
 
 
-def test_slow_start_adds_one_segment_per_ack():
-    ctrl = NewReno(2, 44.0)
-    assert ctrl.in_slow_start()
+@pytest.mark.parametrize("law", VARIANTS)
+def test_slow_start_adds_one_segment_per_ack(law):
+    ctrl = make_controller(law, 2, 44.0, MSS)
+    assert ctrl.cwnd < ctrl.ssthresh
     ctrl.on_ack_growth(0)
     assert ctrl.cwnd_segments() == 3.0
 
 
 def test_avoidance_adds_reciprocal_of_window():
     ctrl = NewReno(50, 10.0)
-    assert not ctrl.in_slow_start()
+    assert ctrl.cwnd >= ctrl.ssthresh
     ctrl.on_ack_growth(0)
-    assert ctrl.cwnd_fp == 50 * SCALE + 20_000    # exactly +0.02 segments
+    assert ctrl.cwnd == 50 * SCALE + 20_000    # exactly +0.02 segments
 
 
 def test_avoidance_at_one_segment_adds_a_full_segment():
     ctrl = NewReno(1, 1.0)
-    assert not ctrl.in_slow_start()
+    assert ctrl.cwnd >= ctrl.ssthresh
     ctrl.on_ack_growth(0)
     assert ctrl.cwnd_segments() == 2.0
 
 
-def test_infinite_ssthresh_keeps_slow_start():
-    ctrl = NewReno(2, float("inf"))
-    assert ctrl.ssthresh_segments() == float("inf")
+@pytest.mark.parametrize("ssthresh", [float("inf"), 1e13], ids=["inf", "1e13"])
+@pytest.mark.parametrize("law", VARIANTS)
+def test_infinite_ssthresh_keeps_slow_start(law, ssthresh):
+    # 1e13 segments is finite, but above 2**62 micro-segments
+    ctrl = make_controller(law, 2, ssthresh, MSS)
+    assert ctrl.ssthresh_segments() == ssthresh
     for _ in range(100):
         ctrl.on_ack_growth(0)
-    assert ctrl.in_slow_start()
+    assert ctrl.cwnd < ctrl.ssthresh
     assert ctrl.cwnd_segments() == 102.0
 
 
@@ -64,11 +70,11 @@ def test_timeout_halves_ssthresh_and_collapses_to_one():
 @given(st.integers(min_value=2 * SCALE, max_value=1000 * SCALE))
 def test_decrease_ratio_is_exact_integer_halving(pre_fp):
     ctrl = NewReno(2, 44.0)
-    ctrl.cwnd_fp = pre_fp
+    ctrl.cwnd = pre_fp
     ctrl.on_3dupack(0)
-    assert ctrl.cwnd_fp == pre_fp // 2
+    assert ctrl.cwnd == pre_fp // 2
     # one fixed-point quantum of the ideal ratio
-    assert abs(ctrl.cwnd_fp - pre_fp * 0.5) <= 1
+    assert abs(ctrl.cwnd - pre_fp * 0.5) <= 1
 
 
 @given(st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=500))
@@ -79,18 +85,18 @@ def test_avoidance_growth_telescopes_exactly(start_segments, n_acks):
         expected += SCALE * SCALE // expected
     for _ in range(n_acks):
         ctrl.on_ack_growth(0)
-    assert ctrl.cwnd_fp == expected
+    assert ctrl.cwnd == expected
 
 
 def _in_state(law, cwnd_fp, ssthresh_fp, epoch, cwnd_max_fp, sample):
     """A controller of `law` with this window, ssthresh and loss history."""
     ctrl = make_controller(law, 2, 44.0, MSS)
     if law == "cubic":
-        ctrl._cwnd, ctrl._ssthresh = cwnd_fp / SCALE, ssthresh_fp / SCALE
+        ctrl.cwnd, ctrl.ssthresh = cwnd_fp / SCALE, ssthresh_fp / SCALE
         if epoch:
             ctrl._start_epoch(0, cwnd_max_fp / SCALE)
         return ctrl
-    ctrl.cwnd_fp, ctrl.ssthresh_fp = cwnd_fp, ssthresh_fp
+    ctrl.cwnd, ctrl.ssthresh = cwnd_fp, ssthresh_fp
     if law == "bic":
         ctrl.epoch_valid, ctrl.cwnd_max_fp = epoch, cwnd_max_fp
     if law == "westwood+" and sample is not None:
@@ -113,5 +119,7 @@ def test_every_law_keeps_one_loss_window_after_a_fast_retransmit_or_a_timeout(
     dupack.on_3dupack(1_000_000)
     timeout.on_timeout(1_000_000)
     assert dupack.cwnd_segments() == dupack.ssthresh_segments()
+    assert dupack.cwnd_segments() >= 1.0
     assert timeout.cwnd_segments() == 1.0
+    assert timeout.ssthresh_segments() >= 1.0
     assert timeout.ssthresh_segments() == dupack.ssthresh_segments()

@@ -174,7 +174,7 @@ def test_slow_start_ack_opens_one_segment():
 
 def test_congestion_avoidance_ack_adds_reciprocal():
     loop, link, sender = make_sender(cwnd0=10, ssthresh0=5.0)
-    assert not sender.controller.in_slow_start()
+    assert sender.controller.cwnd >= sender.controller.ssthresh
     sender.start(0)
     loop.run_until(0)
     sender.on_ack(MSS)
