@@ -11,6 +11,7 @@ slow start, the loss response and the read-outs are `Controller`'s.
 
 from __future__ import annotations
 
+from ..engine import US_PER_S
 from .base import Controller
 from .params import CubicParams
 
@@ -42,7 +43,7 @@ class Cubic(Controller):
         if not self.epoch_valid:
             self.cwnd += 1.0 / self.cwnd  # plain AIMD until the first loss
             return
-        elapsed = (now_us - self.epoch_start_us) / 1_000_000
+        elapsed = (now_us - self.epoch_start_us) / US_PER_S
         target = self.window_at(elapsed)
         if target < 1.0:
             target = 1.0

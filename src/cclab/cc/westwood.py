@@ -9,6 +9,7 @@ is just enough to keep the pipe full with the bottleneck queue empty.
 
 from __future__ import annotations
 
+from ..engine import US_PER_S
 from .base import Controller
 from .params import WestwoodParams, fp_from_segments
 
@@ -44,7 +45,7 @@ class WestwoodPlus(Controller):
         interval = self._interval_us()
         # close every elapsed interval first; gaps contribute zero samples
         while now_us - self._interval_start_us >= interval:
-            sample = self._acked_in_interval * 1_000_000 / interval
+            sample = self._acked_in_interval * US_PER_S / interval
             self._push_sample(sample)
             self._acked_in_interval = 0
             self._interval_start_us += interval
@@ -67,5 +68,5 @@ class WestwoodPlus(Controller):
             p = self.params
             return self.cwnd * p.fallback_beta_num // p.fallback_beta_den
         # BWE * RTT_min is kept as computed, even above the pre-loss window
-        segments = self.bwe_bytes_per_s * (self.rtt_min_us / 1_000_000) / self.mss
+        segments = self.bwe_bytes_per_s * (self.rtt_min_us / US_PER_S) / self.mss
         return fp_from_segments(segments)

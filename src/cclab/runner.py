@@ -155,7 +155,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             retx_ratio=retx_ratio(s.retransmissions, s.transmissions),
             mean_rtt_us=mean_rtt,
             rtt_samples=samples,
-            retx_bursts=[n for _, n in s.episodes],
+            retx_bursts=s.retx_bursts,
             decreases=s.decreases,
         ))
 

@@ -11,7 +11,10 @@ repair trickle eventually times out and finishes under slow start.
 recovery starts and at a timeout: no new recovery starts until an ACK
 passes it.  After a timeout the send cursor rewinds to the oldest hole;
 cumulative ACKs then skip the cursor over anything the receiver already
-holds.  The timer runs exactly while data is outstanding (RFC 6298 5.2).
+holds.  The timer runs exactly while data is outstanding, in three
+steps (RFC 6298 section 5): new data arms an idle timer (`maybe_send`),
+an ACK of new data stops or restarts it (`_restart_timer`), and an
+expiry backs off, re-arms and resends the front (`_on_timer`).
 
 The send queue is the byte range `[snd_una, snd_max)`, cut at multiples
 of `mss` as it was first sent, so every ACK lands on a cut and the front
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cc.base import Controller
-from .engine import EventLoop, SimTime
+from .engine import US_PER_S, EventLoop, SimTime
 from .link import BottleneckLink
 
 
@@ -36,7 +39,7 @@ class TransportConfig:
     initial_cwnd_segments: int = 2
     initial_ssthresh_segments: float = 44.0   # about 64 KB of payload
     dupack_threshold: int = 3
-    rto_initial_us: SimTime = 1_000_000
+    rto_initial_us: SimTime = US_PER_S
     rto_min_us: SimTime = 200_000
     rto_max_us: SimTime = 60_000_000
 
@@ -67,12 +70,8 @@ class RtoEstimator:
 
     def rto_us(self) -> SimTime:
         assert self.srtt_us is not None
-        rto = int(self.srtt_us + 4.0 * self.rttvar_us)
-        if rto < self.rto_min_us:
-            return self.rto_min_us
-        if rto > self.rto_max_us:
-            return self.rto_max_us
-        return rto
+        return min(max(int(self.srtt_us + 4.0 * self.rttvar_us), self.rto_min_us),
+                   self.rto_max_us)
 
 
 class TcpReceiver:
@@ -151,7 +150,7 @@ class TcpSender:
         self.done_at: Optional[SimTime] = None
         self.rtt_samples: list[tuple[SimTime, SimTime]] = []
         self.decreases: list[tuple[SimTime, str, float, float, float]] = []
-        self.episodes: list[tuple[SimTime, int]] = []
+        self.retx_bursts: list[int] = []   # distinct segments resent per closed loss episode
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
@@ -221,14 +220,11 @@ class TcpSender:
             self._probe_at = None   # Karn: no sample until this end is acked
         if self._episode_segs is not None:
             self._episode_segs.add(seq)
-        if self._timer is None:
-            self._arm_timer()
         self.link.offer(self.flow_id, seq, end - seq, self.config.wire_len)
 
     def _retransmit_front(self) -> None:
-        una = self.snd_una
-        if una < self.snd_max:
-            self._retransmit(una, min(una + self.config.mss, self.snd_max))
+        una = self.snd_una   # below snd_max: a timeout, a third dupack or a partial ACK
+        self._retransmit(una, min(una + self.config.mss, self.snd_max))
 
     # timer
 
@@ -236,29 +232,25 @@ class TcpSender:
         self._timer = self.loop.schedule(self.loop.now + self.rto_current_us, self._on_timer)
 
     def _restart_timer(self) -> None:
-        if self._timer is None:
-            self._arm_timer()
+        """RFC 6298 5.2-5.3: stop the live timer once all data is acked, else restart it."""
+        if self.snd_una == self.snd_max:
+            self._timer.cancel()
+            self._timer = None
         else:
             self._timer = self.loop.reschedule(
                 self._timer, self.loop.now + self.rto_current_us)
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
     def _on_timer(self) -> None:
-        self._timer = None
         self.timeouts += 1
         self._decrease("timeout", self.controller.on_timeout)
         self.rto_current_us = min(self.rto_current_us * 2, self.config.rto_max_us)
         self.in_recovery = False
         self._inflation_segments = 0
         self.dupack_count = 0
-        self.recovery_point = self.snd_max
         self.snd_nxt = self.snd_una
         self._probe_end = None   # its timing is void once the cursor rewinds
-        self._repair_front()  # _retransmit may arm; the restart keeps one live timer
+        self._arm_timer()
+        self._repair_front()
 
     # loss entry, shared by the timer and the third dupack
 
@@ -269,6 +261,7 @@ class TcpSender:
         self.decreases.append((now, kind, pre, ctrl.cwnd_segments(), ctrl.ssthresh_segments()))
 
     def _repair_front(self) -> None:
+        self.recovery_point = self.snd_max
         if self._episode_segs is None:
             self._episode_segs = set()
             self._episode_point = self.snd_max
@@ -290,7 +283,6 @@ class TcpSender:
             return  # still repairing an older episode; no new decrease
         self._decrease("3dupack", self.controller.on_3dupack)
         self.in_recovery = True
-        self.recovery_point = self.snd_max
         self._inflation_segments = self.config.dupack_threshold
         self._partial_seen = False
         self._repair_front()
@@ -323,13 +315,7 @@ class TcpSender:
                 self.in_recovery = False
                 self._inflation_segments = 0
                 self.dupack_count = 0
-                if ack >= self.snd_max:
-                    # If the source is not drained, the maybe_send below arms
-                    # the timer at the same now + rto_current_us, with the seq
-                    # a restart here would take: none is taken in between.
-                    self._cancel_timer()
-                else:
-                    self._restart_timer()
+                self._restart_timer()
             else:
                 # partial ACK: repair the next hole, no second decrease
                 self._inflation_segments = max(
@@ -341,18 +327,14 @@ class TcpSender:
         else:
             self.dupack_count = 0
             self.controller.on_ack_growth(now)
-            if ack >= self.snd_max:
-                self._cancel_timer()
-            elif self._timer is None:
-                self._arm_timer()
-            else:   # _restart_timer, inline
+            if ack < self.snd_max:   # _restart_timer inline: the per-ACK path
                 self._timer = self.loop.reschedule(self._timer, now + self.rto_current_us)
+            else:
+                self._restart_timer()
         if self._episode_segs is not None and ack >= self._episode_point:
-            self.episodes.append((now, len(self._episode_segs)))
+            self.retx_bursts.append(len(self._episode_segs))
             self._episode_segs = None
         if self.total_bytes is not None and self.snd_una >= self.total_bytes:
-            if self.done_at is None:
-                self.done_at = now
-                self._cancel_timer()
+            self.done_at = now   # no later ACK gets past the checks above
             return
         self.maybe_send()

@@ -14,7 +14,7 @@ import pytest
 
 from cclab.cli import main
 from cclab.config import load_config
-from cclab.matrix import CellResult
+from cclab.matrix import CellResult, run_matrix
 from test_config import BAD_INPUTS
 
 
@@ -60,16 +60,32 @@ def test_stats_verifies_untouched_summary(run_dir, capsys):
     assert "verify ok" in stdout
 
 
-def test_stats_detects_tampered_goodput(run_dir, capsys):
-    path = run_dir / "summary.json"
-    stored = json.loads(path.read_text())
-    stored["flows"][0]["goodput_kbps"] += 1.0
-    path.write_text(json.dumps(stored))
+# a field of summary.json, how it is tampered with, and the one mismatch `stats` names
+TAMPERED_FIELDS = {
+    "goodput_kbps": (("flows", 0, "goodput_kbps"), 1.0, "flow 0 goodput"),
+    "throughput_kbps": (("flows", 0, "throughput_kbps"), 1.0, "flow 0 throughput"),
+    "retx_ratio": (("flows", 0, "retx_ratio"), 0.001, "flow 0 retx_ratio"),
+    "aggregate_goodput_kbps": (("aggregate", "goodput_kbps"), 1.0, "aggregate goodput"),
+    "jain_index": (("aggregate", "jain_index"), -0.001, "jain index"),
+    "config_hash": (("config_hash",), "0" * 16, "config hash"),
+}
+
+
+@pytest.mark.parametrize("path, change, named", TAMPERED_FIELDS.values(),
+                         ids=TAMPERED_FIELDS.keys())
+def test_stats_detects_a_tampered_field(run_dir, capsys, path, change, named):
+    summary = run_dir / "summary.json"
+    stored = json.loads(summary.read_text())
+    *parents, field = path
+    owner = stored
+    for step in parents:
+        owner = owner[step]
+    owner[field] = change if isinstance(change, str) else owner[field] + change
+    summary.write_text(json.dumps(stored))
 
     rc, stdout, _ = run_cli(capsys, "stats", str(run_dir))
     assert rc == 1
-    assert "VERIFY FAILED" in stdout
-    assert "flow 0 goodput" in stdout
+    assert f"VERIFY FAILED: {named}\n" in stdout
 
 
 def test_stats_replay_confirms_summary(run_dir, capsys):
@@ -191,12 +207,14 @@ def test_unparsable_config_is_a_usage_error(tmp_path, capsys, text):
     assert "Traceback" not in stderr
 
 
+SMOKE_MATRIX = ("[experiment]\nseed = 5\n"
+                "[matrix]\nvariants = newreno, westwood+\nflows = 1\n"
+                "scenarios = short:50\nruns = 1\n")
+
+
 def test_matrix_smoke(tmp_path, capsys):
     ini = tmp_path / "matrix.ini"
-    ini.write_text(
-        "[experiment]\nseed = 5\n"
-        "[matrix]\nvariants = newreno, westwood+\nflows = 1\n"
-        "scenarios = short:50\nruns = 1\n")
+    ini.write_text(SMOKE_MATRIX)
     out = tmp_path / "sweep"
     rc, stdout, _ = run_cli(capsys, "matrix", "--config", str(ini),
                             "--out", str(out))
@@ -204,6 +222,29 @@ def test_matrix_smoke(tmp_path, capsys):
     assert "2/2 cells ok" in stdout
     assert (out / "tables" / "short50kb_goodput_kbps.csv").is_file()
     assert (out / "matrix_summary.json").is_file()
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_matrix_workers_flag_overrides_the_config_and_keeps_every_byte(
+        tmp_path, capsys, monkeypatch):
+    ini = tmp_path / "matrix.ini"
+    ini.write_text(SMOKE_MATRIX)
+    real, seen = run_matrix, []
+    monkeypatch.setattr("cclab.cli.run_matrix",
+                        lambda config: seen.append(config.workers) or real(config))
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}"
+        rc, stdout, _ = run_cli(capsys, "matrix", "--config", str(ini),
+                                "--out", str(out), "--workers", workers)
+        assert rc == 0
+        assert "2/2 cells ok" in stdout
+        trees.append(_tree(out))
+    assert seen == [1, 2]
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_matrix_exit_code_reflects_failed_cells(tmp_path, capsys, monkeypatch):

@@ -272,6 +272,14 @@ def test_a_config_changed_in_code_is_checked_against_the_same_table():
         cfg.validate()
 
 
+def test_rto_min_above_rto_max_is_rejected_naming_both_keys():
+    # this rule is the only bound on rto_max_ms (see UNBOUNDED above)
+    load_config(text="[transport]\nrto_min_ms = 500\nrto_max_ms = 500\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "[transport] rto_min_ms = 500.5 must not exceed rto_max_ms = 500")):
+        load_config(text="[transport]\nrto_min_ms = 500.5\nrto_max_ms = 500\n")
+
+
 @pytest.mark.parametrize("matrix, message", [
     ("variants = westwood,westwood+", "[matrix] variants lists westwood+ twice"),
     ("flows = 1,2,1", "[matrix] flows lists 1 twice"),

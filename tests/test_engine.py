@@ -285,11 +285,15 @@ def test_post_calls_fn_with_arg_in_insertion_order():
     assert order == ["first", "scheduled", "posted"]
 
 
-def test_post_into_the_past_raises():
+@pytest.mark.parametrize("file_at_9", [
+    lambda loop: loop.post(9, lambda _: None, None),
+    lambda loop: loop.file(9, loop.take_keys(10), lambda _: None, None),
+], ids=["post", "file"])
+def test_filing_into_the_past_raises(file_at_9):
     loop = EventLoop()
     loop.run_until(10)
     with pytest.raises(ScheduleInPastError):
-        loop.post(9, lambda _: None, None)
+        file_at_9(loop)
     assert loop.pending() == 0
 
 

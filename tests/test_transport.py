@@ -383,8 +383,9 @@ def test_burst_of_one_for_isolated_loss():
     for _ in range(3):
         sender.on_ack(0)
     loop.run_until(ms(200))
+    assert sender.retx_bursts == []
     sender.on_ack(sender.recovery_point)
-    assert sender.episodes == [(ms(200), 1)]
+    assert sender.retx_bursts == [1]
 
 
 def test_burst_of_four_for_adjacent_holes():
@@ -397,8 +398,9 @@ def test_burst_of_four_for_adjacent_holes():
         loop.run_until(ms(100 + 50 * k))
         sender.on_ack(k * MSS)
     loop.run_until(ms(400))
+    assert sender.retx_bursts == []
     sender.on_ack(sender.recovery_point)
-    assert sender.episodes == [(ms(400), 4)]
+    assert sender.retx_bursts == [4]
 
 
 def test_timeout_then_slow_start_resends_count_as_one_burst():
@@ -409,8 +411,9 @@ def test_timeout_then_slow_start_resends_count_as_one_burst():
     sender.on_ack(MSS)               # slow start resends segments 1 and 2
     assert link.retx_seqs() == [0, MSS, 2 * MSS]
     loop.run_until(seconds(1) + ms(200))
+    assert sender.retx_bursts == []
     sender.on_ack(3 * MSS)
-    assert sender.episodes == [(seconds(1) + ms(200), 3)]
+    assert sender.retx_bursts == [3]
 
 
 # --- sender: randomized loss -----------------------------------------------
@@ -419,7 +422,9 @@ def test_timeout_then_slow_start_resends_count_as_one_burst():
 class LossyLink:
     """Link stub that drops the offers whose flag is set; the rest reach a
     real receiver, whose ACK arrives 50 ms later.  Every offer is checked
-    against the byte range the sender has in flight."""
+    against the byte range the sender has in flight, and the sender's
+    timer is live exactly while data is outstanding: at every offer and
+    after every ACK."""
 
     def __init__(self, loop, drops, total):
         self.loop = loop
@@ -434,12 +439,18 @@ class LossyLink:
         assert seq % MSS == 0
         assert payload_len == min(MSS, self.total - seq)
         assert s.snd_una <= s.snd_nxt <= s.snd_max
+        assert s._timer is not None
         drop = len(self.offers) < len(self.drops) and self.drops[len(self.offers)]
         self.offers.append(seq)
         if not drop:
             ack = self.receiver.on_segment(seq, payload_len)
-            self.loop.post(self.loop.now + ms(50), s.on_ack, ack)
+            self.loop.post(self.loop.now + ms(50), self.deliver_ack, ack)
         return True
+
+    def deliver_ack(self, ack):
+        s = self.sender
+        s.on_ack(ack)
+        assert (s._timer is not None) == (s.snd_una < s.snd_max)
 
 
 @settings(max_examples=300, deadline=None)
@@ -460,7 +471,7 @@ def test_sender_delivers_every_byte_under_random_loss(variant, full_segments, ta
     assert sender.snd_una == link.receiver.rcv_nxt == total
     assert sender.transmissions == len(link.offers)
     assert sender.retransmissions == len(link.offers) - len(set(link.offers))
-    assert sum(n for _, n in sender.episodes) <= sender.retransmissions
+    assert sum(sender.retx_bursts) <= sender.retransmissions
     assert loop.pending() == 0
 
 
