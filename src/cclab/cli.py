@@ -17,11 +17,11 @@ import json
 import os
 import sys
 
-from . import metrics
 from .cc import VARIANTS
 from .config import LabConfig, load_config, parse_scenario
 from .matrix import run_matrix, write_matrix_outputs
-from .runner import run_single, summary_dict, write_run_outputs
+from .runner import (SUMMARY_SCHEMA, aggregate_figures, flow_figures, run_single,
+                     summary_dict, write_run_outputs)
 
 
 def _load_base(args) -> LabConfig:
@@ -84,47 +84,36 @@ def cmd_matrix(args) -> int:
     return 1 if failed else 0
 
 
-def _recheck_stored_summary(stored: dict) -> list[str]:
-    """Recompute derived figures from the stored counters; list mismatches."""
-    mismatches = []
-    goodputs = []
-    for fm in stored["flows"]:
-        fid = fm["flow_id"]
-        goodput = fm["unique_bytes"] * 8 * 1000 / fm["duration_us"]
-        goodputs.append(goodput)
-        if round(goodput, 3) != fm["goodput_kbps"]:
-            mismatches.append(f"flow {fid} goodput")
-        throughput = fm["bytes_sent"] * 8 * 1000 / fm["duration_us"]
-        if round(throughput, 3) != fm["throughput_kbps"]:
-            mismatches.append(f"flow {fid} throughput")
-        ratio = metrics.retx_ratio(fm["retransmissions"], fm["transmissions"])
-        if round(ratio, 6) != fm["retx_ratio"]:
-            mismatches.append(f"flow {fid} retx_ratio")
-    agg = stored["aggregate"]
-    if round(sum(goodputs), 3) != agg["goodput_kbps"]:
-        mismatches.append("aggregate goodput")
-    if round(metrics.jain_fairness(goodputs), 6) != agg["jain_index"]:
-        mismatches.append("jain index")
-    if load_config(text=stored["config"]).config_hash() != stored["config_hash"]:
-        mismatches.append("config hash")
-    return mismatches
+def _mismatches(derived: dict, stored: dict, prefix: str = "") -> list[str]:
+    """Name each flow and aggregate field of `derived` that `stored` holds otherwise."""
+    if len(derived["flows"]) != len(stored["flows"]):
+        return [prefix + "flow count"]
+    sections = [(f"flow {i}", row, stored["flows"][i]) for i, row in enumerate(derived["flows"])]
+    sections.append(("aggregate", derived["aggregate"], stored["aggregate"]))
+    return [f"{prefix}{name} {key}" for name, fields, held in sections
+            for key, value in fields.items() if held.get(key) != value]
 
 
 def cmd_stats(args) -> int:
-    summary_path = os.path.join(args.run_dir, "summary.json")
-    with open(summary_path, encoding="utf-8") as fh:
+    path = os.path.join(args.run_dir, "summary.json")
+    with open(path, encoding="utf-8") as fh:
         stored = json.load(fh)
-    mismatches = _recheck_stored_summary(stored)
-    if args.replay:
+    try:
+        if stored["schema"] != SUMMARY_SCHEMA:
+            raise ValueError(f"{path} has schema {stored['schema']!r}, not {SUMMARY_SCHEMA!r}")
+        rows = stored["flows"]
+        mismatches = _mismatches({"flows": [flow_figures(row) for row in rows],
+                                  "aggregate": aggregate_figures(rows)}, stored)
         config = load_config(text=stored["config"])
-        recomputed = summary_dict(
-            config,
-            run_single(config, seed=stored["seed"], run_index=stored["run_index"]),
-        )
-        for section in ("flows", "aggregate"):
-            if recomputed[section] != stored[section]:
-                mismatches.append(f"replay {section}")
-    _print_summary(stored)
+        if config.config_hash() != stored["config_hash"]:
+            mismatches.append("config hash")
+        seed, run_index = stored["seed"], stored["run_index"]
+        _print_summary(stored)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a readable summary: {exc!r}") from exc
+    if args.replay:
+        fresh = run_single(config, seed=seed, run_index=run_index)
+        mismatches += _mismatches(summary_dict(config, fresh), stored, "replay ")
     if mismatches:
         print(f"VERIFY FAILED: {', '.join(mismatches)}")
         return 1

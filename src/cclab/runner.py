@@ -189,39 +189,43 @@ def write_timeseries_csv(path: str, result: RunResult) -> None:
         fh.writelines(_TIMESERIES_ROW % row for row in result.timeseries)
 
 
+# the counters of a summary.json flow row, in the order they are written
+_FLOW_COUNTERS = ("flow_id", "duration_us", "unique_bytes", "bytes_sent", "transmissions",
+                  "retransmissions", "timeouts")
+
+
+def flow_figures(row: dict) -> dict:
+    """A flow row's derived figures from its counters, rounded as summary.json stores them."""
+    duration = row["duration_us"]
+    return {"goodput_kbps": round(goodput_bps(row["unique_bytes"], duration) / 1000.0, 3),
+            "throughput_kbps": round(throughput_bps(row["bytes_sent"], duration) / 1000.0, 3),
+            "retx_ratio": round(retx_ratio(row["retransmissions"], row["transmissions"]), 6)}
+
+
+def aggregate_figures(rows: list[dict]) -> dict:
+    """The aggregate's derived figures from the flow rows' counters, rounded as stored."""
+    goodputs = [goodput_bps(row["unique_bytes"], row["duration_us"]) for row in rows]
+    return {"goodput_kbps": round(sum(goodputs) / 1000.0, 3),
+            "jain_index": round(jain_fairness(goodputs), 6)}
+
+
 def summary_dict(config: LabConfig, result: RunResult) -> dict:
     # key order is part of the format; insertion order is preserved on output
+    rows = []
+    for m in result.flows:
+        row = {key: getattr(m, key) for key in _FLOW_COUNTERS}
+        rows.append({**row, **flow_figures(row), "mean_rtt_ms": round(m.mean_rtt_ms, 3),
+                     "rtt_sample_count": len(m.rtt_samples), "retx_bursts": m.retx_bursts})
     return {
         "schema": SUMMARY_SCHEMA,
         "config_hash": config.config_hash(),
         "seed": result.seed,
         "run_index": result.run_index,
         "variant": result.variant,
-        "flows": [
-            {
-                "flow_id": m.flow_id,
-                "duration_us": m.duration_us,
-                "unique_bytes": m.unique_bytes,
-                "bytes_sent": m.bytes_sent,
-                "transmissions": m.transmissions,
-                "retransmissions": m.retransmissions,
-                "timeouts": m.timeouts,
-                "goodput_kbps": round(m.goodput_kbps, 3),
-                "throughput_kbps": round(m.throughput_bps / 1000.0, 3),
-                "retx_ratio": round(m.retx_ratio, 6),
-                "mean_rtt_ms": round(m.mean_rtt_ms, 3),
-                "rtt_sample_count": len(m.rtt_samples),
-                "retx_bursts": m.retx_bursts,
-            }
-            for m in result.flows
-        ],
-        "aggregate": {
-            "goodput_kbps": round(result.aggregate_goodput_bps / 1000.0, 3),
-            "jain_index": round(result.jain_index, 6),
-            "link_offered": result.link_offered,
-            "link_dropped": result.link_dropped,
-            "link_delivered": result.link_delivered,
-        },
+        "flows": rows,
+        "aggregate": {**aggregate_figures(rows), "link_offered": result.link_offered,
+                      "link_dropped": result.link_dropped,
+                      "link_delivered": result.link_delivered},
         "config": config.canonical_text(),
     }
 

@@ -12,10 +12,13 @@ import sys
 
 import pytest
 
+from cclab.cc import VARIANTS
 from cclab.cli import main
 from cclab.config import load_config
 from cclab.matrix import CellResult, run_matrix
+from cclab.runner import SUMMARY_SCHEMA
 from test_config import BAD_INPUTS
+from test_golden import ARQ_LOSS_LINK
 
 
 def run_cli(capsys, *argv):
@@ -54,19 +57,35 @@ def test_run_short_transfer_moves_whole_payload(run_dir):
     assert stored["flows"][0]["unique_bytes"] == 50 * 1024
 
 
-def test_stats_verifies_untouched_summary(run_dir, capsys):
-    rc, stdout, _ = run_cli(capsys, "stats", str(run_dir))
-    assert rc == 0
-    assert "verify ok" in stdout
+# the configs of the runs of one type, each written by `cclab run`
+WRITTEN_RUNS = {
+    "long20s_every_variant": [f"[experiment]\nvariant = {variant}\nduration_s = 20\n"
+                              for variant in VARIANTS],
+    "short50_two_flows": ["[experiment]\nflows = 2\nscenario = short:50\nseed = 4\n"],
+    "arq_loss_link": ["[experiment]\nflows = 2\nduration_s = 20\nseed = 5\n" + ARQ_LOSS_LINK],
+}
+
+
+@pytest.mark.parametrize("replay", [(), ("--replay",)], ids=["stored", "replay"])
+@pytest.mark.parametrize("configs", WRITTEN_RUNS.values(), ids=WRITTEN_RUNS.keys())
+def test_stats_verifies_untouched_summary(tmp_path, capsys, configs, replay):
+    for i, text in enumerate(configs):
+        ini, out = tmp_path / f"run{i}.ini", tmp_path / f"run{i}"
+        ini.write_text(text)
+        rc, _, _ = run_cli(capsys, "run", "--config", str(ini), "--out", str(out))
+        assert rc == 0
+        rc, stdout, _ = run_cli(capsys, "stats", str(out), *replay)
+        assert rc == 0
+        assert "verify ok" in stdout
 
 
 # a field of summary.json, how it is tampered with, and the one mismatch `stats` names
 TAMPERED_FIELDS = {
-    "goodput_kbps": (("flows", 0, "goodput_kbps"), 1.0, "flow 0 goodput"),
-    "throughput_kbps": (("flows", 0, "throughput_kbps"), 1.0, "flow 0 throughput"),
+    "goodput_kbps": (("flows", 0, "goodput_kbps"), 1.0, "flow 0 goodput_kbps"),
+    "throughput_kbps": (("flows", 0, "throughput_kbps"), 1.0, "flow 0 throughput_kbps"),
     "retx_ratio": (("flows", 0, "retx_ratio"), 0.001, "flow 0 retx_ratio"),
-    "aggregate_goodput_kbps": (("aggregate", "goodput_kbps"), 1.0, "aggregate goodput"),
-    "jain_index": (("aggregate", "jain_index"), -0.001, "jain index"),
+    "aggregate_goodput_kbps": (("aggregate", "goodput_kbps"), 1.0, "aggregate goodput_kbps"),
+    "jain_index": (("aggregate", "jain_index"), -0.001, "aggregate jain_index"),
     "config_hash": (("config_hash",), "0" * 16, "config hash"),
 }
 
@@ -133,7 +152,54 @@ def test_replay_catches_tamper_that_arithmetic_misses(run_dir, capsys):
     assert rc == 0
     rc, stdout, _ = run_cli(capsys, "stats", str(run_dir), "--replay")
     assert rc == 1
-    assert "replay flows" in stdout
+    assert "replay flow 0 timeouts" in stdout
+
+
+def test_replay_names_a_deleted_row(tmp_path, capsys):
+    out = tmp_path / "short"
+    rc, _, _ = run_cli(capsys, "run", "--flows", "2", "--size", "50", "--seed", "4",
+                       "--out", str(out))
+    assert rc == 0
+    path = out / "summary.json"
+    stored = json.loads(path.read_text())
+    del stored["flows"][1]
+    path.write_text(json.dumps(stored))
+
+    rc, stdout, _ = run_cli(capsys, "stats", str(out), "--replay")
+    assert rc == 1
+    assert "replay flow count" in stdout
+
+
+@pytest.mark.parametrize("case", ["list", "empty_object", "row_without_unique_bytes",
+                                  "zero_duration"])
+def test_an_unreadable_summary_is_a_usage_error(run_dir, capsys, case):
+    path = run_dir / "summary.json"
+    stored = json.loads(path.read_text())
+    if case == "row_without_unique_bytes":
+        del stored["flows"][0]["unique_bytes"]
+    elif case == "zero_duration":
+        stored["flows"][0]["duration_us"] = 0
+    path.write_text(json.dumps({"list": [], "empty_object": {}}.get(case, stored)))
+
+    rc, stdout, stderr = run_cli(capsys, "stats", str(run_dir))
+    assert rc == 2
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+    assert "verify ok" not in stdout
+    if case != "zero_duration":
+        assert str(path) in stderr
+
+
+def test_stats_refuses_another_schema(run_dir, capsys):
+    path = run_dir / "summary.json"
+    stored = json.loads(path.read_text())
+    stored["schema"] = "cclab-summary-v2"
+    path.write_text(json.dumps(stored))
+
+    rc, stdout, stderr = run_cli(capsys, "stats", str(run_dir))
+    assert rc == 2
+    assert "cclab-summary-v2" in stderr and SUMMARY_SCHEMA in stderr
+    assert "verify ok" not in stdout
 
 
 def test_missing_run_dir_is_a_usage_error(tmp_path, capsys):

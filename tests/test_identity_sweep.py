@@ -42,6 +42,7 @@ def test_two_copies_of_one_tree_compare_equal(tmp_path):
     assert [line["point"] for line in lines] == [name for name, _ in POINTS]
     for line in lines:
         assert line["outputs_equal"] and line["processed_equal"]
+        assert line["stats_ok"] is True
         assert len(line["sha256"]) == len(line["backlog_sha256"]) == 64
         assert line["link_delivered"] > 0
 
@@ -50,7 +51,7 @@ def test_one_patched_line_reports_a_mismatch(tmp_path):
     base, patched = copy_tree(tmp_path, "base"), copy_tree(tmp_path, "patched")
     runner = patched / "src" / "cclab" / "runner.py"
     text = runner.read_text()
-    line = '"goodput_kbps": round(m.goodput_kbps, 3),'
+    line = '"goodput_kbps": round(goodput_bps(row["unique_bytes"], duration) / 1000.0, 3),'
     assert text.count(line) == 1
     runner.write_text(text.replace(line, line.replace(", 3)", ", 2)")))
     ok, lines = run_sweep((base, patched), POINTS[:1])

@@ -2,10 +2,11 @@
 
 Each point is one `run_single` with timeseries capture, written out the
 way `cclab run` writes it.  Per point the sweep compares the SHA-256 of
-`summary.json` followed by `timeseries.csv`, and `link_delivered`.  The
-point then runs again with `keep_backlog_probe=True`, and the sweep
-compares the SHA-256 of the kept queue history too.  It reports
-`EventLoop.processed` apart: a change may move the number of
+`summary.json` followed by `timeseries.csv`, and `link_delivered`, and
+it requires `cclab stats` to verify the written directory in both trees
+(`stats_ok`).  The point then runs again with `keep_backlog_probe=True`,
+and the sweep compares the SHA-256 of the kept queue history too.  It
+reports `EventLoop.processed` apart: a change may move the number of
 dispatched events on purpose without moving any output byte.  One more
 point runs a `cclab matrix` campaign at 1 and at 2 workers in each tree;
 all four output trees must be byte-equal.
@@ -81,8 +82,9 @@ WORKERS_PER_TREE = 2
 
 # argv: src dir, config text.  Prints one JSON object.
 _RUN_POINT = r"""
-import hashlib, json, os, sys, tempfile
+import contextlib, hashlib, io, json, os, sys, tempfile
 sys.path.insert(0, sys.argv[1])
+import cclab.cli as cli
 import cclab.runner as runner
 from cclab.config import load_config
 
@@ -102,10 +104,12 @@ with tempfile.TemporaryDirectory() as out:
     for name in ("summary.json", "timeseries.csv"):
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(fh.read())
+    with contextlib.redirect_stdout(io.StringIO()):
+        stats_ok = cli.main(["stats", out]) == 0
 probe = runner.run_single(config, seed=config.seed, keep_backlog_probe=True).backlog_probe
 print(json.dumps({"module": runner.__file__, "sha256": digest.hexdigest(),
                   "backlog_sha256": hashlib.sha256(json.dumps(probe).encode()).hexdigest(),
-                  "link_delivered": result.link_delivered,
+                  "link_delivered": result.link_delivered, "stats_ok": stats_ok,
                   "processed": loops[0].processed}))
 """
 
@@ -176,10 +180,11 @@ def _compare(name: str, base: dict, tree: dict) -> dict:
     if "error" in base or "error" in tree:
         line.update(outputs_equal=False, error=[base.get("error"), tree.get("error")])
         return line
-    keys = ("sha256", "backlog_sha256", "link_delivered", "processed")
+    keys = ("sha256", "backlog_sha256", "link_delivered", "stats_ok", "processed")
     for key in keys:
         line[key] = base[key] if base[key] == tree[key] else [base[key], tree[key]]
-    line["outputs_equal"] = all(base[key] == tree[key] for key in keys[:-1])
+    line["outputs_equal"] = (all(base[key] == tree[key] for key in keys[:-1])
+                             and base["stats_ok"] and tree["stats_ok"])
     line["processed_equal"] = base["processed"] == tree["processed"]
     return line
 
