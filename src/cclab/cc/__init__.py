@@ -10,7 +10,9 @@ from .params import (BicParams, CubicParams, NewRenoParams, WestwoodParams,
                      SCALE, fp_from_segments)
 from .westwood import WestwoodPlus
 
-VARIANTS = ("newreno", "westwood+", "bic", "cubic")
+# each canonical variant name and its law, in table order
+LAWS = {"newreno": NewReno, "westwood+": WestwoodPlus, "bic": Bic, "cubic": Cubic}
+VARIANTS = tuple(LAWS)
 
 _ALIASES = {"westwood": "westwood+", "westwoodplus": "westwood+"}
 
@@ -25,19 +27,15 @@ def canonical_variant(name: str) -> str:
 
 def make_controller(variant: str, initial_cwnd: int, initial_ssthresh: float,
                     mss: int, params=None) -> Controller:
-    variant = canonical_variant(variant)
-    if variant == "newreno":
-        return NewReno(initial_cwnd, initial_ssthresh, params)
-    if variant == "westwood+":
-        return WestwoodPlus(initial_cwnd, initial_ssthresh, mss, params)
-    if variant == "bic":
-        return Bic(initial_cwnd, initial_ssthresh, params)
-    return Cubic(initial_cwnd, initial_ssthresh, params)
+    law = LAWS[canonical_variant(variant)]
+    if law is WestwoodPlus:     # its bandwidth estimate is in bytes, its window in segments
+        return law(initial_cwnd, initial_ssthresh, mss, params)
+    return law(initial_cwnd, initial_ssthresh, params)
 
 
 __all__ = [
     "Controller", "NewReno", "WestwoodPlus", "Bic", "Cubic",
     "NewRenoParams", "WestwoodParams", "BicParams", "CubicParams",
-    "VARIANTS", "canonical_variant", "make_controller",
+    "LAWS", "VARIANTS", "canonical_variant", "make_controller",
     "SCALE", "fp_from_segments",
 ]

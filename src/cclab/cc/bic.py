@@ -80,19 +80,19 @@ class Bic(Controller):
     # decreases
 
     def _loss_window(self) -> int:
-        p, pre = self.params, self.cwnd
-        if pre < self._low_window_fp:
-            return pre // 2
-        return pre * p.beta_num // p.beta_den
+        num, den = self.params.b
+        if self.cwnd < self._low_window_fp:
+            return self.cwnd // 2
+        return self.cwnd * num // den
 
     def on_3dupack(self, now_us: int) -> None:
-        p = self.params
+        num, den = self.params.b
         pre = self.cwnd
         super().on_3dupack(now_us)
-        if p.fast_convergence and self.epoch_valid and pre < self.cwnd_max_fp:
+        if self.params.fast_convergence and self.epoch_valid and pre < self.cwnd_max_fp:
             # losing ground to a competitor: remember a deflated maximum
             # so the search tops out early and releases share
-            self.cwnd_max_fp = pre * (p.beta_num + p.beta_den) // (2 * p.beta_den)
+            self.cwnd_max_fp = pre * (num + den) // (2 * den)
         else:
             self.cwnd_max_fp = pre   # when probing, the reached window is the new max
         self.cwnd_min_fp = self.cwnd

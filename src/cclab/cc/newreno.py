@@ -13,5 +13,5 @@ class NewReno(Controller):
         self.params = params or NewRenoParams()
 
     def _loss_window(self) -> int:
-        p = self.params
-        return self.cwnd * p.beta_num // p.beta_den
+        num, den = self.params.b
+        return self.cwnd * num // den

@@ -13,22 +13,19 @@ def fp_from_segments(segments: float) -> int:
 
 @dataclass
 class NewRenoParams:
-    beta_num: int = 1       # multiplicative decrease b = beta_num / beta_den
-    beta_den: int = 2
+    b: tuple[int, int] = (1, 2)     # multiplicative decrease, (num, den)
 
 
 @dataclass
 class WestwoodParams:
     filter_gain: float = 0.9        # weight kept by the old estimate
     min_interval_us: int = 50_000   # BWE sampling floor
-    fallback_beta_num: int = 1      # used before the first bandwidth sample
-    fallback_beta_den: int = 2
+    fallback_b: tuple[int, int] = (1, 2)  # used before the first bandwidth sample
 
 
 @dataclass
 class BicParams:
-    beta_num: int = 4       # b = 0.8
-    beta_den: int = 5
+    b: tuple[int, int] = (4, 5)     # 0.8
     s_max: float = 32.0     # segments per RTT, linear-increase clamp
     s_min: float = 0.01     # segments, binary-search convergence threshold
     low_window: float = 14.0

@@ -65,8 +65,8 @@ class WestwoodPlus(Controller):
     def _loss_window(self) -> int:
         if self.bwe_bytes_per_s is None or self.rtt_min_us is None:
             # no bandwidth sample yet: fall back to a fixed factor
-            p = self.params
-            return self.cwnd * p.fallback_beta_num // p.fallback_beta_den
+            num, den = self.params.fallback_b
+            return self.cwnd * num // den
         # BWE * RTT_min is kept as computed, even above the pre-loss window
         segments = self.bwe_bytes_per_s * (self.rtt_min_us / US_PER_S) / self.mss
         return fp_from_segments(segments)

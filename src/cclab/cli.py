@@ -107,12 +107,15 @@ def cmd_stats(args) -> int:
         config = load_config(text=stored["config"])
         if config.config_hash() != stored["config_hash"]:
             mismatches.append("config hash")
-        seed, run_index = stored["seed"], stored["run_index"]
+        # by type too: JSON's `true` and `1.0` both equal a seed of 1
+        mismatches += [key for key in ("seed", "variant")
+                       if repr(stored[key]) != repr(getattr(config, key))]
         _print_summary(stored)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a readable summary: {exc!r}") from exc
     if args.replay:
-        fresh = run_single(config, seed=seed, run_index=run_index)
+        # the hashed config alone decides the run, so the replay reads nothing else
+        fresh = run_single(config, seed=config.seed)
         mismatches += _mismatches(summary_dict(config, fresh), stored, "replay ")
     if mismatches:
         print(f"VERIFY FAILED: {', '.join(mismatches)}")

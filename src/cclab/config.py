@@ -24,6 +24,7 @@ from .transport import TransportConfig
 
 SCENARIO_LONG = "long_lived"
 SCENARIO_SHORT = "short"
+SHORT_RUN_HORIZON_S = 3600.0    # when a short-transfer run ends, finished or not
 
 
 @dataclass
@@ -41,6 +42,10 @@ class ScenarioSpec:
     @property
     def size_bytes(self) -> int:
         return self.size_kb * 1024
+
+    @property
+    def end_s(self) -> float:
+        return self.duration_s if self.kind == SCENARIO_LONG else SHORT_RUN_HORIZON_S
 
 
 def parse_scenario(token: str) -> ScenarioSpec:
@@ -80,7 +85,7 @@ class LabConfig:
     def validate(self) -> None:
         """Check each key against its range in `KEYS`, then the rules that span keys."""
         for section, key, path, (_, fmt, ok, need) in KEYS + _RUN_KEYS:
-            value = attrgetter(*path.split())(self)
+            value = attrgetter(path)(self)
             if not ok(value):
                 raise ValueError(f"[{section}] {key} = {fmt(value)} must be {need}")
         self.variant = canonical_variant(self.variant)
@@ -101,25 +106,25 @@ class LabConfig:
             if repeated:
                 raise ValueError(f"[matrix] {what} lists {repeated[0]} twice: "
                                  "each cell would run more than once")
-        if any(s.kind == SCENARIO_LONG for s in specs) and specs[0].duration_s <= self.stagger_s:
-            raise ValueError(f"duration_s = {specs[0].duration_s:g} must exceed stagger_s = "
-                             f"{self.stagger_s:g}: a flow may start after the run ends")
+        for spec in specs:
+            if spec.end_s <= self.stagger_s:
+                end = "duration_s" if spec.kind == SCENARIO_LONG else "the short-run horizon"
+                raise ValueError(f"{end} = {spec.end_s:g} must exceed stagger_s = "
+                                 f"{self.stagger_s:g}: a flow may start after the run ends")
 
     def matrix_scenario(self, token: str) -> ScenarioSpec:
         """The spec of a `[matrix] scenarios` token: it lasts `duration_s`."""
         return replace(parse_scenario(token), duration_s=self.scenario.duration_s)
 
     def params_for(self, variant: str):
-        variant = canonical_variant(variant)
-        return {"newreno": self.newreno, "westwood+": self.westwood,
-                "bic": self.bic, "cubic": self.cubic}[variant]
+        return getattr(self, canonical_variant(variant).rstrip("+"))   # westwood+ -> westwood
 
     # canonical text and hashing
 
     def canonical_text(self) -> str:
         """Every key of `KEYS`, in order, one `[section]` block per section."""
         return "\n".join(
-            f"[{section}]\n" + "".join(f"{key} = {fmt(attrgetter(*path.split())(self))}\n"
+            f"[{section}]\n" + "".join(f"{key} = {fmt(attrgetter(path)(self))}\n"
                                         for _, key, path, (_, fmt, _, _) in rows)
             for section, rows in groupby(KEYS, itemgetter(0)))
 
@@ -200,8 +205,7 @@ def _list(codec):
 _COUNT = _within(_INT, ">= 1")
 
 # (section, key, LabConfig attribute path, codec), in canonical order.  The
-# hashed text is exactly these keys; defaults live in the dataclasses.  A
-# path of several space-separated attributes takes a tuple-valued codec.
+# hashed text is exactly these keys; defaults live in the dataclasses.
 # `scenario` loads a whole new spec, so it must precede `duration_s` and
 # `size_kb`.  `LabConfig.validate` checks every value against its codec.
 KEYS = (
@@ -230,11 +234,11 @@ KEYS = (
     ("transport", "rto_initial_ms", "transport.rto_initial_us", _within(_MS, "> 0")),
     ("transport", "rto_min_ms", "transport.rto_min_us", _within(_MS, "> 0")),
     ("transport", "rto_max_ms", "transport.rto_max_us", _MS),
-    ("newreno", "b", "newreno.beta_num newreno.beta_den", _BETA),
+    ("newreno", "b", "newreno.b", _BETA),
     ("westwood+", "filter_gain", "westwood.filter_gain", _within(_FLOAT, "in [0, 1]")),
     ("westwood+", "min_interval_ms", "westwood.min_interval_us", _within(_MS, "> 0")),
-    ("westwood+", "fallback_b", "westwood.fallback_beta_num westwood.fallback_beta_den", _BETA),
-    ("bic", "b", "bic.beta_num bic.beta_den", _BETA),
+    ("westwood+", "fallback_b", "westwood.fallback_b", _BETA),
+    ("bic", "b", "bic.b", _BETA),
     ("bic", "s_max", "bic.s_max", _within(_FLOAT, "> 0")),
     ("bic", "s_min", "bic.s_min", _within(_FLOAT, ">= 0")),
     ("bic", "low_window", "bic.low_window", _within(_FLOAT, ">= 0")),
@@ -263,10 +267,8 @@ _SECTIONS = {section for section, _ in _LEGAL}
 
 
 def _set(cfg: LabConfig, path: str, value) -> None:
-    names = path.split()
-    for name, item in zip(names, value if len(names) > 1 else (value,)):
-        owner, _, attr = name.rpartition(".")
-        setattr(attrgetter(owner)(cfg) if owner else cfg, attr, item)
+    owner, _, attr = path.rpartition(".")
+    setattr(attrgetter(owner)(cfg) if owner else cfg, attr, value)
 
 
 def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
@@ -299,14 +301,14 @@ def _load(path: str | None, text: str | None) -> LabConfig:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
 
     cfg = LabConfig()
-    for section, key, attrs, (parse, _, _, need) in KEYS + _RUN_KEYS:
+    for section, key, attr, (parse, _, _, need) in KEYS + _RUN_KEYS:
         text = parser.get(section, key, fallback=None)
         if text is not None:
             try:
                 value = parse(text)
             except (KeyError, OverflowError, ValueError, ZeroDivisionError):
                 raise ValueError(f"[{section}] {key} = {text} must be {need}") from None
-            _set(cfg, attrs, value)
+            _set(cfg, attr, value)
     if parser.has_option("experiment", "scenario"):
         token = parser.get("experiment", "scenario")
         if parse_scenario(token).size_kb not in (0, cfg.scenario.size_kb):

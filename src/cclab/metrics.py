@@ -16,18 +16,20 @@ from dataclasses import dataclass, field
 from .engine import US_PER_S
 
 
+def _bit_rate(what: str, n_bytes: int, duration_us: int) -> float:
+    if duration_us <= 0:
+        raise ValueError(f"{what} needs a positive duration")
+    return n_bytes * 8 * US_PER_S / duration_us
+
+
 def goodput_bps(unique_bytes: int, duration_us: int) -> float:
     """Application bytes delivered once, over the measured window."""
-    if duration_us <= 0:
-        raise ValueError("goodput needs a positive duration")
-    return unique_bytes * 8 * US_PER_S / duration_us
+    return _bit_rate("goodput", unique_bytes, duration_us)
 
 
 def throughput_bps(total_bytes_sent: int, duration_us: int) -> float:
     """All payload bytes sent, retransmissions included."""
-    if duration_us <= 0:
-        raise ValueError("throughput needs a positive duration")
-    return total_bytes_sent * 8 * US_PER_S / duration_us
+    return _bit_rate("throughput", total_bytes_sent, duration_us)
 
 
 def retx_ratio(retransmissions: int, transmissions: int) -> float:

@@ -28,8 +28,6 @@ TIMESERIES_COLUMNS = ("t_us", "flow_id", "variant", "cwnd_segments",
                       "ssthresh_segments", "srtt_us", "rto_us",
                       "bytes_acked_cum", "retx_cum", "timeouts_cum")
 
-SHORT_RUN_HORIZON_S = 3600.0
-
 
 @dataclass
 class RunResult:
@@ -81,8 +79,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     stagger_rng = random.Random(f"{seed}/stagger")
 
     total_bytes = scenario.size_bytes if scenario.kind != SCENARIO_LONG else None
-    duration_us = seconds(scenario.duration_s)
-    horizon_us = duration_us if scenario.kind == SCENARIO_LONG else seconds(SHORT_RUN_HORIZON_S)
+    end_us = seconds(scenario.end_s)
 
     senders: list[TcpSender] = []
     for flow_id in range(n_flows):
@@ -93,7 +90,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         sender = TcpSender(loop, flow_id, config.transport, controller, link,
                            total_bytes=total_bytes)
         if scenario.kind == SCENARIO_LONG:
-            sender.app_stop_us = duration_us
+            sender.app_stop_us = end_us
         pipe = _FlowPipe(link, sender)
         link.register_sink(flow_id, pipe.on_packet)
         start_at = seconds(stagger_rng.uniform(0.0, config.stagger_s))
@@ -106,7 +103,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     try:
         if capture_timeseries:
             interval_us = max(1, ms(config.sample_interval_ms))
-            for t in range(0, horizon_us + 1, interval_us):
+            for t in range(0, end_us + 1, interval_us):
                 if t:
                     loop.run_until(t - 1)
                 for s in senders:
@@ -117,7 +114,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                                        s.retransmissions, s.timeouts))
                 if all(s.done_at is not None for s in senders):
                     break
-        loop.run_until(horizon_us)
+        loop.run_until(end_us)
     finally:
         # Break the run's reference cycles (pending events -> actions ->
         # senders and link -> loop, link sinks <-> pipes) so that a finished
@@ -131,12 +128,12 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         if s.first_send_at is None:
             raise RuntimeError(f"flow {s.flow_id} never started sending")
         if scenario.kind == SCENARIO_LONG:
-            flow_duration = duration_us - s.first_send_at
+            flow_duration = end_us - s.first_send_at
         else:
             if s.done_at is None:
                 raise RuntimeError(
                     f"flow {s.flow_id} did not finish its {scenario.size_kb} KB "
-                    f"transfer within {SHORT_RUN_HORIZON_S:g} s")
+                    f"transfer within {scenario.end_s:g} s")
             flow_duration = s.done_at - s.first_send_at
         unique = s.snd_una
         samples = s.rtt_samples

@@ -155,7 +155,7 @@ def test_loss_below_low_window_halves_like_newreno():
 
 @pytest.mark.parametrize("pre", [2.0, 7.5, 14.0, 20.0, 77.25, 500.0])
 def test_half_beta_decrease_matches_newreno(pre):
-    bic = Bic(2, 44.0, BicParams(beta_num=1, beta_den=2))
+    bic = Bic(2, 44.0, BicParams(b=(1, 2)))
     reno = NewReno(2, 44.0)
     bic.cwnd = reno.cwnd = int(round(pre * SCALE))
     bic.on_3dupack(0)

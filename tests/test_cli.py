@@ -107,6 +107,32 @@ def test_stats_detects_a_tampered_field(run_dir, capsys, path, change, named):
     assert f"VERIFY FAILED: {named}\n" in stdout
 
 
+# a header field of summary.json that the hashed config also holds, and a
+# value the config does not: the run dir's config has seed 11 and newreno
+TAMPERED_HEADERS = {
+    "seed_not_a_number": ("seed", [11]),
+    "another_seed": ("seed", 12),
+    "seed_as_a_float": ("seed", 11.0),
+    "another_variant": ("variant", "cubic"),
+}
+
+
+@pytest.mark.parametrize("replay", [(), ("--replay",)], ids=["stored", "replay"])
+@pytest.mark.parametrize("field, value", TAMPERED_HEADERS.values(), ids=TAMPERED_HEADERS.keys())
+def test_stats_checks_the_header_against_the_hashed_config(run_dir, capsys, field, value,
+                                                           replay):
+    # the replay runs the hashed config, so the figures still agree with it
+    summary = run_dir / "summary.json"
+    stored = json.loads(summary.read_text())
+    stored[field] = value
+    summary.write_text(json.dumps(stored))
+
+    rc, stdout, stderr = run_cli(capsys, "stats", str(run_dir), *replay)
+    assert rc == 1
+    assert f"VERIFY FAILED: {field}\n" in stdout
+    assert stderr == ""
+
+
 def test_stats_replay_confirms_summary(run_dir, capsys):
     rc, stdout, _ = run_cli(capsys, "stats", str(run_dir), "--replay")
     assert rc == 0
@@ -206,6 +232,17 @@ def test_missing_run_dir_is_a_usage_error(tmp_path, capsys):
     rc, _, stderr = run_cli(capsys, "stats", str(tmp_path / "nowhere"))
     assert rc == 2
     assert "error:" in stderr
+
+
+def test_a_short_run_that_no_flow_could_start_is_a_usage_error(tmp_path, capsys):
+    ini = tmp_path / "late.ini"
+    ini.write_text("[experiment]\nscenario = short:50\nstagger_s = 100000\n"
+                   "[matrix]\nscenarios = short:50\n")
+    rc, _, stderr = run_cli(capsys, "run", "--config", str(ini),
+                            "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith("error: ") and "stagger_s = 100000" in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_config_is_a_usage_error(tmp_path, capsys):
@@ -328,10 +365,15 @@ def test_matrix_exit_code_reflects_failed_cells(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # pytest's `pythonpath` setting reaches only its own process: hand the
+    # child this checkout's src/ first on its path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "cclab", "run", "--size", "50",
          "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(out / "summary.json")

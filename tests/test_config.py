@@ -64,7 +64,7 @@ tcp_friendly = false
     assert cfg.flows == 3
     assert cfg.scenario.kind == "short" and cfg.scenario.size_kb == 500
     assert cfg.link.rate_bps == 1_200_000
-    assert cfg.bic.beta_num == 3 and cfg.bic.beta_den == 4
+    assert cfg.bic.b == (3, 4)
     assert cfg.bic.fast_convergence is False
     assert cfg.cubic.tcp_friendly is False
     again = load_config(text=cfg.canonical_text())
@@ -302,6 +302,20 @@ def test_repeated_matrix_entries_are_rejected(matrix, message):
 def test_long_lived_runs_must_outlast_the_stagger(text):
     with pytest.raises(ValueError, match="duration_s = .* stagger_s = "):
         load_config(text=text)
+
+
+def test_short_transfers_must_start_before_the_short_run_horizon():
+    # the horizon is 3600 s: a later start would never send a byte
+    with pytest.raises(ValueError, match="the short-run horizon = 3600 must exceed "
+                                         "stagger_s = 100000"):
+        load_config(text="[experiment]\nscenario = short:50\nstagger_s = 100000\n"
+                         "[matrix]\nscenarios = short:50\n")
+
+
+def test_a_run_ends_at_its_duration_or_at_the_short_run_horizon():
+    assert ScenarioSpec().end_s == 180.0
+    assert ScenarioSpec(duration_s=7.5).end_s == 7.5
+    assert ScenarioSpec("short", duration_s=7.5, size_kb=50).end_s == 3600.0
 
 
 def test_short_transfers_alone_ignore_the_duration():

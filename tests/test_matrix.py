@@ -116,6 +116,21 @@ def test_outputs_tables_cdfs_and_summary(tmp_path):
         assert 0 <= rep_flow < entry["flows"]
 
 
+def test_a_cell_without_rtt_samples_writes_no_cdf(tmp_path):
+    cfg, cells = small_cells()
+    bare = next(c for c in cells if c.variant == "newreno" and c.flows == 1)
+    for run in bare.runs:
+        for fm in run.flows:
+            fm.rtt_samples = []
+    write_matrix_outputs(str(tmp_path), cfg, cells)
+    cdfs = sorted(p.name for p in (tmp_path / "cdf").iterdir())
+    assert cdfs == ["short50kb_f1_westwoodplus_rtt_ms.csv",
+                    "short50kb_f2_newreno_rtt_ms.csv",
+                    "short50kb_f2_westwoodplus_rtt_ms.csv"]
+    doc = json.loads((tmp_path / "matrix_summary.json").read_text())
+    assert [e["ok"] for e in doc["cells"]] == [True] * 4   # the cell itself is kept
+
+
 def test_matrix_is_deterministic_across_calls():
     _, cells_a = small_cells()
     _, cells_b = small_cells()

@@ -228,6 +228,16 @@ def test_run_arguments_are_checked_like_the_keys_they_stand_in_for(override, mes
         run_single(load_config(text=""), seed=1, **override)
 
 
+def test_a_transfer_that_cannot_finish_fails_at_the_short_run_horizon():
+    # every frame fails its one ARQ retry and is then lost: no byte arrives
+    cfg = load_config(text="[experiment]\nscenario = short:50\n[link]\n"
+                           "arq_frame_error_prob = 1\narq_max_retx = 1\n"
+                           "residual_loss_prob = 1\n")
+    with pytest.raises(RuntimeError,
+                       match="flow 0 did not finish its 50 KB transfer within 3600 s"):
+        run_single(cfg, seed=1)
+
+
 def test_backlog_probe_is_optional():
     cfg = short_config(duration_s=10)
     assert run_single(cfg, seed=2).backlog_probe is None

@@ -439,7 +439,7 @@ class LossyLink:
         assert seq % MSS == 0
         assert payload_len == min(MSS, self.total - seq)
         assert s.snd_una <= s.snd_nxt <= s.snd_max
-        assert s._timer is not None
+        assert s._timer is not None and s._timer.action is not None
         drop = len(self.offers) < len(self.drops) and self.drops[len(self.offers)]
         self.offers.append(seq)
         if not drop:
@@ -451,6 +451,7 @@ class LossyLink:
         s = self.sender
         s.on_ack(ack)
         assert (s._timer is not None) == (s.snd_una < s.snd_max)
+        assert s._timer is None or s._timer.action is not None   # a held handle has not fired
 
 
 @settings(max_examples=300, deadline=None)
