@@ -107,9 +107,10 @@ def cmd_stats(args) -> int:
         config = load_config(text=stored["config"])
         if config.config_hash() != stored["config_hash"]:
             mismatches.append("config hash")
-        # by type too: JSON's `true` and `1.0` both equal a seed of 1
-        mismatches += [key for key in ("seed", "variant")
-                       if repr(stored[key]) != repr(getattr(config, key))]
+        # by type too: JSON's `true` and `1.0` both equal a seed of 1; and
+        # `cclab run` writes run 0 only
+        header = {"seed": config.seed, "variant": config.variant, "run_index": 0}
+        mismatches += [key for key, value in header.items() if repr(stored[key]) != repr(value)]
         _print_summary(stored)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a readable summary: {exc!r}") from exc

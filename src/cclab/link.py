@@ -76,6 +76,7 @@ class BottleneckLink:
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
                  record_backlog: bool = False):
         self.loop = loop
+        self._file = loop.file   # bound once: send_reverse runs once per packet
         self.config = config
         self.rng = rng
         self._sinks: dict[int, Callable[[int, int], None]] = {}
@@ -170,7 +171,7 @@ class BottleneckLink:
         # two keys filed at the departure: the successor's service start, then the ACK
         key = self._start_key = loop.take_keys(departs, 2)
         pending.append((departs, start_key, None))
-        self._deliver(flow_id, seq, payload_len, departs, key + 1)
+        self._deliver(flow_id, seq, payload_len, departs, key + 1, now)
         return True
 
     def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
@@ -179,7 +180,7 @@ class BottleneckLink:
         It fires both propagation halves after the packet departs; the
         channel never queues.
         """
-        self.loop.file(self._ack_at, self._ack_key, fn, arg)
+        self._file(self._ack_at, self._ack_key, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -223,8 +224,7 @@ class BottleneckLink:
                     self._count_arq_drop(abandoned)
 
     def _deliver(self, flow_id: int, seq: int, payload_len: int, departs: SimTime,
-                 ack_key: int) -> None:
-        now = self.loop.now
+                 ack_key: int, now: SimTime) -> None:
         flying = self._flying
         while flying and flying[0] <= now:
             flying.popleft()

@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .engine import US_PER_S
+from .history import RttSamples
 
 
 def _bit_rate(what: str, n_bytes: int, duration_us: int) -> float:
@@ -168,7 +169,7 @@ class FlowMetrics:
     throughput_bps: float
     retx_ratio: float
     mean_rtt_us: float
-    rtt_samples: list[tuple[int, int]] = field(repr=False, default_factory=list)
+    rtt_samples: RttSamples = field(repr=False, default_factory=RttSamples)
     retx_bursts: list[int] = field(default_factory=list)
     # (t_us, kind, cwnd before, cwnd after, ssthresh after) per window decrease
     decreases: list[tuple] = field(repr=False, default_factory=list)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from .cc import make_controller
 from .config import LabConfig, SCENARIO_LONG, ScenarioSpec
 from .engine import EventLoop, ms, seconds
+from .history import Timeseries
 from .link import BottleneckLink
 from .metrics import (FlowMetrics, goodput_bps, jain_fairness, retx_ratio,
                       throughput_bps)
@@ -40,7 +41,8 @@ class RunResult:
     link_offered: int
     link_dropped: int
     link_delivered: int
-    timeseries: list[tuple] = field(repr=False, default_factory=list)
+    # the sampler's rows; no columns unless the run captured them
+    timeseries: Timeseries = field(repr=False)
     # the link's (times, queue lengths) history, with keep_backlog_probe
     backlog_probe: tuple[list[int], list[int]] | None = field(repr=False, default=None)
 
@@ -49,13 +51,14 @@ class _FlowPipe:
     """Receiver side of one flow plus the ACK return path."""
 
     def __init__(self, link: BottleneckLink, sender: TcpSender):
-        self.link = link
-        self.sender = sender
         self.receiver = TcpReceiver()
+        # the per-packet callees, bound once
+        self._on_segment = self.receiver.on_segment
+        self._send_reverse = link.send_reverse
+        self._on_ack = sender.on_ack
 
     def on_packet(self, seq: int, payload_len: int) -> None:
-        ack = self.receiver.on_segment(seq, payload_len)
-        self.link.send_reverse(self.sender.on_ack, ack)
+        self._send_reverse(self._on_ack, self._on_segment(seq, payload_len))
 
 
 def run_single(config: LabConfig, seed: int, run_index: int = 0,
@@ -99,19 +102,26 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
     # A row at tick t reads the state before any event at t: the loop runs
     # to t - 1 only, and the clock is in whole microseconds.
-    timeseries: list[tuple] = []
+    timeseries = Timeseries(variant, None if capture_timeseries else ())
     try:
         if capture_timeseries:
+            (add_t, add_flow, add_cwnd, add_ssthresh, add_srtt, add_rto, add_acked,
+             add_retx, add_timeouts) = [column.append for column in timeseries.columns]
             interval_us = max(1, ms(config.sample_interval_ms))
             for t in range(0, end_us + 1, interval_us):
                 if t:
                     loop.run_until(t - 1)
                 for s in senders:
                     c = s.controller
-                    timeseries.append((t, s.flow_id, variant, c.cwnd_segments(),
-                                       c.ssthresh_segments(), s.srtt_us(),
-                                       s.rto_current_us, s.snd_una,
-                                       s.retransmissions, s.timeouts))
+                    add_t(t)
+                    add_flow(s.flow_id)
+                    add_cwnd(c.cwnd_segments())
+                    add_ssthresh(c.ssthresh_segments())
+                    add_srtt(s.srtt_us())
+                    add_rto(s.rto_current_us)
+                    add_acked(s.snd_una)
+                    add_retx(s.retransmissions)
+                    add_timeouts(s.timeouts)
                 if all(s.done_at is not None for s in senders):
                     break
         loop.run_until(end_us)
@@ -136,8 +146,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                     f"transfer within {scenario.end_s:g} s")
             flow_duration = s.done_at - s.first_send_at
         unique = s.snd_una
-        samples = s.rtt_samples
-        mean_rtt = sum(r for _, r in samples) / len(samples) if samples else 0.0
+        _, rtts = s.rtt_samples.columns
+        mean_rtt = sum(rtts) / len(rtts) if rtts else 0.0
         flow_metrics.append(FlowMetrics(
             flow_id=s.flow_id,
             variant=variant,
@@ -151,7 +161,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             throughput_bps=throughput_bps(s.bytes_sent, flow_duration),
             retx_ratio=retx_ratio(s.retransmissions, s.transmissions),
             mean_rtt_us=mean_rtt,
-            rtt_samples=samples,
+            rtt_samples=s.rtt_samples,
             retx_bursts=s.retx_bursts,
             decreases=s.decreases,
         ))

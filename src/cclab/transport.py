@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 from .cc.base import Controller
 from .engine import US_PER_S, EventLoop, SimTime
+from .history import RttSamples
 from .link import BottleneckLink
 
 
@@ -148,14 +149,18 @@ class TcpSender:
         self.timeouts = 0
         self.first_send_at: Optional[SimTime] = None
         self.done_at: Optional[SimTime] = None
-        self.rtt_samples: list[tuple[SimTime, SimTime]] = []
+        self.rtt_samples = RttSamples()
         self.decreases: list[tuple[SimTime, str, float, float, float]] = []
         self.retx_bursts: list[int] = []   # distinct segments resent per closed loss episode
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
-        # controller hooks, bound once
-        self._on_ack_observed = controller.on_ack_observed
+        # per-ACK callees, bound once; a law that keeps Controller's no-op
+        # ACK hook is not called for it (a hook patched in is called)
+        self._reschedule = loop.reschedule
+        self._on_ack_observed = (
+            None if type(controller).on_ack_observed is Controller.on_ack_observed
+            else controller.on_ack_observed)
         self._on_rtt_sample = controller.on_rtt_sample
 
     # introspection
@@ -237,8 +242,7 @@ class TcpSender:
             self._timer.cancel()
             self._timer = None
         else:
-            self._timer = self.loop.reschedule(
-                self._timer, self.loop.now + self.rto_current_us)
+            self._timer = self._reschedule(self._timer, self.loop.now + self.rto_current_us)
 
     def _on_timer(self) -> None:
         self.timeouts += 1
@@ -271,7 +275,8 @@ class TcpSender:
     # receiving ACKs
 
     def _on_dupack(self, now: SimTime) -> None:
-        self._on_ack_observed(now, 0, True)
+        if self._on_ack_observed is not None:
+            self._on_ack_observed(now, 0, True)
         if self.in_recovery:
             self._inflation_segments += 1
             self.maybe_send()
@@ -304,12 +309,13 @@ class TcpSender:
         if self._probe_end is not None and ack >= self._probe_end:
             if self._probe_at is not None:
                 sample = now - self._probe_at
-                self.rtt_samples.append((now, sample))
+                self.rtt_samples.add(now, sample)
                 self.estimator.update(sample)
                 self.rto_current_us = self.estimator.rto_us()
                 self._on_rtt_sample(now, sample)
             self._probe_end = None
-        self._on_ack_observed(now, newly, False)
+        if self._on_ack_observed is not None:
+            self._on_ack_observed(now, newly, False)
         if self.in_recovery:
             if ack >= self.recovery_point:
                 self.in_recovery = False
@@ -328,7 +334,7 @@ class TcpSender:
             self.dupack_count = 0
             self.controller.on_ack_growth(now)
             if ack < self.snd_max:   # _restart_timer inline: the per-ACK path
-                self._timer = self.loop.reschedule(self._timer, now + self.rto_current_us)
+                self._timer = self._reschedule(self._timer, now + self.rto_current_us)
             else:
                 self._restart_timer()
         if self._episode_segs is not None and ack >= self._episode_point:

@@ -108,12 +108,16 @@ def test_stats_detects_a_tampered_field(run_dir, capsys, path, change, named):
 
 
 # a header field of summary.json that the hashed config also holds, and a
-# value the config does not: the run dir's config has seed 11 and newreno
+# value the config does not: the run dir's config has seed 11 and newreno,
+# and `cclab run` writes run index 0
 TAMPERED_HEADERS = {
     "seed_not_a_number": ("seed", [11]),
     "another_seed": ("seed", 12),
     "seed_as_a_float": ("seed", 11.0),
     "another_variant": ("variant", "cubic"),
+    "another_run_index": ("run_index", 7),
+    "run_index_not_a_number": ("run_index", "x"),
+    "run_index_as_false": ("run_index", False),
 }
 
 

@@ -43,7 +43,8 @@ def test_two_copies_of_one_tree_compare_equal(tmp_path):
     for line in lines:
         assert line["outputs_equal"] and line["processed_equal"]
         assert line["stats_ok"] is True
-        assert len(line["sha256"]) == len(line["backlog_sha256"]) == 64
+        assert len(line["sha256"]) == len(line["history_sha256"]) == \
+            len(line["backlog_sha256"]) == 64
         assert line["link_delivered"] > 0
 
 
@@ -60,3 +61,19 @@ def test_one_patched_line_reports_a_mismatch(tmp_path):
     assert not report["outputs_equal"]
     assert report["sha256"][0] != report["sha256"][1]
     assert isinstance(report["link_delivered"], int)   # equal on both sides
+
+
+def test_a_moved_rtt_sample_reports_a_history_mismatch(tmp_path):
+    # the sample's time is in no output file: only the stored history moves
+    base, patched = copy_tree(tmp_path, "base"), copy_tree(tmp_path, "patched")
+    transport = patched / "src" / "cclab" / "transport.py"
+    text = transport.read_text()
+    line = "self.rtt_samples.add(now, sample)"
+    assert text.count(line) == 1
+    transport.write_text(text.replace(line, "self.rtt_samples.add(now + 1, sample)"))
+    ok, lines = run_sweep((base, patched), POINTS[:1])
+    assert not ok
+    (report,) = lines
+    assert not report["outputs_equal"]
+    assert isinstance(report["sha256"], str)   # equal on both sides
+    assert report["history_sha256"][0] != report["history_sha256"][1]

@@ -291,10 +291,11 @@ def test_ack_reaches_the_sender_one_propagation_rtt_after_serialization():
     config = TransportConfig()
     ctrl = make_controller("newreno", 2, 44.0, config.mss)
     sender = TcpSender(loop, 0, config, ctrl, link, total_bytes=config.mss)
-    link.register_sink(0, _FlowPipe(link, sender).on_packet)
     acked_at = []
     on_ack = sender.on_ack
+    # the pipe binds sender.on_ack as it is built
     sender.on_ack = lambda ack: (acked_at.append((loop.now, ack)), on_ack(ack))
+    link.register_sink(0, _FlowPipe(link, sender).on_packet)
     sender.start(0)
     loop.run_until(ms(1000))
     # 1500 wire bytes at 1.5 Mbps serialize in 8 ms; the ACK then needs

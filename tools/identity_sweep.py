@@ -4,12 +4,16 @@ Each point is one `run_single` with timeseries capture, written out the
 way `cclab run` writes it.  Per point the sweep compares the SHA-256 of
 `summary.json` followed by `timeseries.csv`, and `link_delivered`, and
 it requires `cclab stats` to verify the written directory in both trees
-(`stats_ok`).  The point then runs again with `keep_backlog_probe=True`,
-and the sweep compares the SHA-256 of the kept queue history too.  It
-reports `EventLoop.processed` apart: a change may move the number of
-dispatched events on purpose without moving any output byte.  One more
-point runs a `cclab matrix` campaign at 1 and at 2 workers in each tree;
-all four output trees must be byte-equal.
+(`stats_ok`).  It compares the SHA-256 of every flow's stored history,
+its `rtt_samples` and `decreases` read as lists of tuples
+(`history_sha256`), so a sample that moves is found even where the
+sample count and the mean RTT hold.  The point then runs again with
+`keep_backlog_probe=True`, and the sweep compares the SHA-256 of the
+kept queue history too.  It reports `EventLoop.processed` apart: a
+change may move the number of dispatched events on purpose without
+moving any output byte.  One more point runs a `cclab matrix` campaign
+at 1 and at 2 workers in each tree; all four output trees must be
+byte-equal.
 
 Every point runs in its own subprocess with the tree's `src/` first on
 `sys.path`, so two trees never share an import; each tree gets 2 workers.
@@ -106,8 +110,10 @@ with tempfile.TemporaryDirectory() as out:
             digest.update(fh.read())
     with contextlib.redirect_stdout(io.StringIO()):
         stats_ok = cli.main(["stats", out]) == 0
+history = repr([(list(fm.rtt_samples), list(fm.decreases)) for fm in result.flows])
 probe = runner.run_single(config, seed=config.seed, keep_backlog_probe=True).backlog_probe
 print(json.dumps({"module": runner.__file__, "sha256": digest.hexdigest(),
+                  "history_sha256": hashlib.sha256(history.encode()).hexdigest(),
                   "backlog_sha256": hashlib.sha256(json.dumps(probe).encode()).hexdigest(),
                   "link_delivered": result.link_delivered, "stats_ok": stats_ok,
                   "processed": loops[0].processed}))
@@ -180,7 +186,8 @@ def _compare(name: str, base: dict, tree: dict) -> dict:
     if "error" in base or "error" in tree:
         line.update(outputs_equal=False, error=[base.get("error"), tree.get("error")])
         return line
-    keys = ("sha256", "backlog_sha256", "link_delivered", "stats_ok", "processed")
+    keys = ("sha256", "history_sha256", "backlog_sha256", "link_delivered", "stats_ok",
+            "processed")
     for key in keys:
         line[key] = base[key] if base[key] == tree[key] else [base[key], tree[key]]
     line["outputs_equal"] = (all(base[key] == tree[key] for key in keys[:-1])
