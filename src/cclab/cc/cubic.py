@@ -44,9 +44,7 @@ class Cubic(Controller):
             self.cwnd += 1.0 / self.cwnd  # plain AIMD until the first loss
             return
         elapsed = (now_us - self.epoch_start_us) / US_PER_S
-        target = self.window_at(elapsed)
-        if target < 1.0:
-            target = 1.0
+        target = self.window_at(elapsed)   # below cwnd (one segment or more) it moves nothing
         if self.params.tcp_friendly:
             b = self.params.b
             self._w_est += (3.0 * b / (2.0 - b)) / self.cwnd

@@ -18,7 +18,7 @@ from operator import attrgetter, itemgetter
 
 from .cc import (VARIANTS, BicParams, CubicParams, NewRenoParams, WestwoodParams,
                  canonical_variant)
-from .engine import ms
+from .engine import ms, seconds
 from .link import LinkConfig
 from .transport import TransportConfig
 
@@ -40,8 +40,9 @@ class ScenarioSpec:
         return f"short{self.size_kb}kb"
 
     @property
-    def size_bytes(self) -> int:
-        return self.size_kb * 1024
+    def size_bytes(self) -> int | None:
+        """Each flow's byte budget; a long-lived flow sends until the run ends."""
+        return None if self.kind == SCENARIO_LONG else self.size_kb * 1024
 
     @property
     def end_s(self) -> float:
@@ -107,10 +108,12 @@ class LabConfig:
                 raise ValueError(f"[matrix] {what} lists {repeated[0]} twice: "
                                  "each cell would run more than once")
         for spec in specs:
-            if spec.end_s <= self.stagger_s:
+            # in the run's whole microseconds: a flow starts by seconds(stagger_s)
+            if seconds(spec.end_s) <= seconds(self.stagger_s):
                 end = "duration_s" if spec.kind == SCENARIO_LONG else "the short-run horizon"
                 raise ValueError(f"{end} = {spec.end_s:g} must exceed stagger_s = "
-                                 f"{self.stagger_s:g}: a flow may start after the run ends")
+                                 f"{self.stagger_s:g} in whole microseconds: a flow "
+                                 "may start as the run ends")
 
     def matrix_scenario(self, token: str) -> ScenarioSpec:
         """The spec of a `[matrix] scenarios` token: it lasts `duration_s`."""
@@ -198,8 +201,8 @@ def _list(codec):
     parse, fmt, ok, noun = codec
     return (lambda text: tuple(parse(w.strip()) for w in text.split(",") if w.strip()),
             lambda values: ",".join(map(fmt, values)),
-            lambda values: all(map(ok, values)),
-            f"a comma-separated list, each {noun}")
+            lambda values: len(values) > 0 and all(map(ok, values)),
+            f"a non-empty comma-separated list, each {noun}")
 
 
 _COUNT = _within(_INT, ">= 1")

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .cc import make_controller
-from .config import LabConfig, SCENARIO_LONG, ScenarioSpec
+from .config import LabConfig, ScenarioSpec
 from .engine import EventLoop, ms, seconds
 from .history import Timeseries
 from .link import BottleneckLink
@@ -81,8 +81,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
                           record_backlog=keep_backlog_probe)
     stagger_rng = random.Random(f"{seed}/stagger")
 
-    total_bytes = scenario.size_bytes if scenario.kind != SCENARIO_LONG else None
-    end_us = seconds(scenario.end_s)
+    budget, end_us = scenario.size_bytes, seconds(scenario.end_s)
 
     senders: list[TcpSender] = []
     for flow_id in range(n_flows):
@@ -91,9 +90,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             config.transport.initial_ssthresh_segments, config.transport.mss,
             config.params_for(variant))
         sender = TcpSender(loop, flow_id, config.transport, controller, link,
-                           total_bytes=total_bytes)
-        if scenario.kind == SCENARIO_LONG:
-            sender.app_stop_us = end_us
+                           total_bytes=budget, app_stop_us=end_us)
         pipe = _FlowPipe(link, sender)
         link.register_sink(flow_id, pipe.on_packet)
         start_at = seconds(stagger_rng.uniform(0.0, config.stagger_s))
@@ -135,16 +132,12 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
     flow_metrics = []
     for s in senders:
-        if s.first_send_at is None:
-            raise RuntimeError(f"flow {s.flow_id} never started sending")
-        if scenario.kind == SCENARIO_LONG:
-            flow_duration = end_us - s.first_send_at
-        else:
-            if s.done_at is None:
-                raise RuntimeError(
-                    f"flow {s.flow_id} did not finish its {scenario.size_kb} KB "
-                    f"transfer within {scenario.end_s:g} s")
-            flow_duration = s.done_at - s.first_send_at
+        if s.done_at is None and budget is not None:
+            raise RuntimeError(
+                f"flow {s.flow_id} did not finish its {scenario.size_kb} KB "
+                f"transfer within {scenario.end_s:g} s")
+        # a flow sends its first segment at its start, which validate puts before end_us
+        flow_duration = (end_us if s.done_at is None else s.done_at) - s.started_at
         unique = s.snd_una
         _, rtts = s.rtt_samples.columns
         mean_rtt = sum(rtts) / len(rtts) if rtts else 0.0
@@ -167,6 +160,9 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         ))
 
     goodputs = [m.goodput_bps for m in flow_metrics]
+    if not any(goodputs):   # only a long-lived run gets here so: short ones finished
+        raise ValueError(f"no flow had data acknowledged within the run: duration_s = "
+                         f"{scenario.duration_s:g} ends before the first ACK")
     return RunResult(
         run_index=run_index,
         seed=seed,

@@ -32,6 +32,8 @@ from .engine import US_PER_S, EventLoop, SimTime
 from .history import RttSamples
 from .link import BottleneckLink
 
+UNBOUNDED = 1 << 62   # a stop time or byte budget that no run reaches
+
 
 @dataclass
 class TransportConfig:
@@ -118,14 +120,16 @@ class TcpSender:
 
     def __init__(self, loop: EventLoop, flow_id: int, config: TransportConfig,
                  controller: Controller, link: BottleneckLink,
-                 total_bytes: Optional[int] = None):
+                 total_bytes: Optional[int] = None, app_stop_us: Optional[SimTime] = None):
         self.loop = loop
         self.flow_id = flow_id
         self.config = config
         self.controller = controller
         self.link = link
-        self.total_bytes = total_bytes          # None means an unbounded source
-        self.app_stop_us: Optional[SimTime] = None
+        # new data goes out before app_stop_us and below total_bytes; None
+        # is a source that never stops, or never runs dry
+        self.total_bytes = UNBOUNDED if total_bytes is None else total_bytes
+        self.app_stop_us = UNBOUNDED if app_stop_us is None else app_stop_us
 
         self.snd_una = 0
         self.snd_nxt = 0
@@ -147,7 +151,7 @@ class TcpSender:
         self.retransmissions = 0
         self.bytes_sent = 0
         self.timeouts = 0
-        self.first_send_at: Optional[SimTime] = None
+        self.started_at: Optional[SimTime] = None
         self.done_at: Optional[SimTime] = None
         self.rtt_samples = RttSamples()
         self.decreases: list[tuple[SimTime, str, float, float, float]] = []
@@ -174,6 +178,7 @@ class TcpSender:
     # app side
 
     def start(self, at_us: SimTime) -> None:
+        self.started_at = at_us
         self.loop.post(at_us, TcpSender.maybe_send, self)
 
     # sending
@@ -193,26 +198,23 @@ class TcpSender:
                 return
             self._retransmit(seq, end)
             self.snd_nxt = end
-        # new data unless the source is drained: nearly every packet
-        now, total = self.loop.now, self.total_bytes
-        if total is None:
-            stop = self.app_stop_us
-            if stop is not None and now >= stop:
-                return
-        elif snd_max >= total:
+        # new data until the source stops or runs dry: nearly every packet
+        now, budget = self.loop.now, self.total_bytes
+        if now >= self.app_stop_us:
             return
         while True:
             seq = self.snd_nxt   # equals snd_max here
-            length = mss if total is None else min(mss, total - seq)
-            if length <= 0 or seq + length > limit:
+            end = seq + mss
+            if end > budget:
+                end = budget   # the budget's last segment, or none
+            if end <= seq or end > limit:
                 return
-            self.snd_nxt = self.snd_max = seq + length
+            length = end - seq
+            self.snd_nxt = self.snd_max = end
             self.transmissions += 1
             self.bytes_sent += length
             if self._probe_end is None:
-                self._probe_end, self._probe_at = seq + length, now
-                if self.first_send_at is None:
-                    self.first_send_at = now
+                self._probe_end, self._probe_at = end, now
             if self._timer is None:
                 self._arm_timer()
             self.link.offer(self.flow_id, seq, length, self.config.wire_len)
@@ -340,7 +342,7 @@ class TcpSender:
         if self._episode_segs is not None and ack >= self._episode_point:
             self.retx_bursts.append(len(self._episode_segs))
             self._episode_segs = None
-        if self.total_bytes is not None and self.snd_una >= self.total_bytes:
+        if ack >= self.total_bytes:
             self.done_at = now   # no later ACK gets past the checks above
             return
         self.maybe_send()

@@ -288,6 +288,23 @@ def test_bad_run_arguments_are_usage_errors(tmp_path, capsys, args, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("duration_s = 0.0000001\nstagger_s = 0\n",
+     "error: duration_s = 1e-07 must exceed stagger_s = 0 in whole microseconds"),
+    # the first ACK lands at 108 ms
+    ("duration_s = 0.05\nstagger_s = 0\n",
+     "error: no flow had data acknowledged within the run: duration_s = 0.05"),
+], ids=["same_microsecond", "before_the_first_ack"])
+def test_a_run_too_short_to_measure_is_a_usage_error(tmp_path, capsys, text, message):
+    ini = tmp_path / "brief.ini"
+    ini.write_text("[experiment]\n" + text)
+    rc, _, stderr = run_cli(capsys, "run", "--config", str(ini), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith(message)
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value", BAD_INPUTS,
                          ids=[f"{s}.{k}={v}" for s, k, v in BAD_INPUTS])
 def test_out_of_range_config_is_a_usage_error(tmp_path, capsys, section, key, value):
@@ -366,6 +383,20 @@ def test_matrix_exit_code_reflects_failed_cells(tmp_path, capsys, monkeypatch):
                             "--out", str(tmp_path / "sweep"))
     assert rc == 1
     assert "FAILED: boom" in stdout
+
+
+@pytest.mark.parametrize("line", ["variants =", "flows =", "scenarios = ,"],
+                         ids=["variants", "flows", "scenarios"])
+def test_an_empty_matrix_list_is_a_usage_error(tmp_path, capsys, line):
+    # it would run no cell, and still report every cell ok
+    ini = tmp_path / "matrix.ini"
+    ini.write_text(f"[matrix]\n{line}\n")
+    rc, _, stderr = run_cli(capsys, "matrix", "--config", str(ini),
+                            "--out", str(tmp_path / "sweep"))
+    assert rc == 2
+    key = line.split()[0]
+    assert stderr.startswith(f"error: [matrix] {key} =  must be a non-empty comma-separated list")
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -195,7 +195,7 @@ def test_inputs_that_hung_or_crashed_a_run_fail_at_load(section, key, value):
 
 def test_a_bad_matrix_scenario_token_names_its_section_and_key():
     with pytest.raises(ValueError, match=re.escape(
-            "[matrix] scenarios = sideways must be a comma-separated list, "
+            "[matrix] scenarios = sideways must be a non-empty comma-separated list, "
             "each long_lived, short, short:N or shortNkb")):
         load_config(text="[matrix]\nscenarios = sideways\n")
 
@@ -213,9 +213,10 @@ def test_booleans_are_strict():
 PAST_THE_ENDS = {
     "an integer >= 0": ("-1",),
     "an integer >= 1": ("0",),
-    "a comma-separated list, each an integer >= 1": ("1,0",),
-    "a comma-separated list, each long_lived, short, short:N or shortNkb":
-        ("long_lived,sideways",),
+    "a non-empty comma-separated list, each text": ("",),
+    "a non-empty comma-separated list, each an integer >= 1": ("1,0", ""),
+    "a non-empty comma-separated list, each long_lived, short, short:N or shortNkb":
+        ("long_lived,sideways", ""),
     "a finite number > 0": ("0", "inf"),
     "a finite number >= 0": ("-0.001", "inf"),
     "a finite number in [0, 1]": ("-0.001", "1.001"),
@@ -229,7 +230,6 @@ ALSO_LEGAL = {"a number >= 1": ("inf",)}
 # rows without a range of their own: any value parses, or a rule that
 # spans keys bounds it (wire_len and rto_max_ms)
 UNBOUNDED = {"text", "an integer", "a finite number",
-             "a comma-separated list, each text",
              "long_lived, short, short:N or shortNkb"}
 ROWS = KEYS + _RUN_KEYS
 
@@ -294,11 +294,15 @@ def test_repeated_matrix_entries_are_rejected(matrix, message):
 @pytest.mark.parametrize("text", [
     "[experiment]\nduration_s = 0.3\n",
     "[experiment]\nduration_s = 5\nstagger_s = 5\n",
+    # both round to the same whole microsecond
+    "[experiment]\nduration_s = 0.0000001\nstagger_s = 0\n",
+    "[experiment]\nduration_s = 5.0000004\nstagger_s = 5\n",
     # a short experiment, but the default matrix sweep is long-lived
     "[experiment]\nscenario = short:50\nduration_s = 0.5\n",
     "[experiment]\nscenario = short:50\nduration_s = 0.5\n"
     "[matrix]\nscenarios = short:50, long_lived\n",
-], ids=["default_stagger", "equal", "matrix_default", "matrix_token"])
+], ids=["default_stagger", "equal", "equal_us", "equal_us_rounded", "matrix_default",
+        "matrix_token"])
 def test_long_lived_runs_must_outlast_the_stagger(text):
     with pytest.raises(ValueError, match="duration_s = .* stagger_s = "):
         load_config(text=text)

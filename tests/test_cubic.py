@@ -125,6 +125,19 @@ def test_reduction_floors_at_one_segment():
     assert ctrl.cwnd_segments() == 1.0
 
 
+def test_a_loss_from_one_segment_waits_at_one_until_the_curve_passes_it():
+    # the new curve starts at (1 - b) * w_max = 0.8 segment, below the
+    # one-segment floor of the loss response; it reaches w_max = 1 at K
+    ctrl = make_after_loss(1.0, tcp_friendly=False, fast_convergence=False)
+    assert ctrl.window_at(0.0) == pytest.approx(0.8)
+    k_us = int(ctrl.k_seconds * 1e6)
+    for t_us in range(0, k_us, 10_000):
+        ctrl.on_ack_growth(t_us)
+        assert ctrl.cwnd_segments() == 1.0
+    ctrl.on_ack_growth(2 * k_us)
+    assert ctrl.cwnd_segments() == pytest.approx(1.2)   # 0.4 * K^3 + 1, K^3 = 0.5
+
+
 def test_timeout_collapses_to_one_and_discards_the_curve():
     ctrl = make_after_loss(100.0)
     ctrl.on_timeout(2_000_000)

@@ -96,3 +96,11 @@ def test_a_long_run_holds_under_100_bytes_per_timeseries_row():
     assert rows == 18_001
     # everything the result holds, RTT samples and decreases included
     assert held / rows <= 100, f"{held / rows:.0f} bytes per row"
+
+
+def test_columns_compare_equal_to_lists_and_columns_only():
+    samples = rtt_samples_of(SAMPLES)
+    assert samples == SAMPLES and samples == rtt_samples_of(SAMPLES)
+    # a tuple of rows is not the list it stands for, as for a list itself
+    assert samples.__eq__(tuple(SAMPLES)) is NotImplemented
+    assert samples != tuple(SAMPLES) and SAMPLES != tuple(SAMPLES)

@@ -31,7 +31,7 @@ def run_sweep(trees, points):
 
 
 def test_full_list_holds_every_row_for_every_variant():
-    assert len(identity_sweep.points()) == 196
+    assert len(identity_sweep.points()) == 200
     assert len(identity_sweep.points(quick=True)) == 4 * len(identity_sweep.POINT_ROWS)
     assert len(POINTS) == 2
 

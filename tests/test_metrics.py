@@ -54,6 +54,13 @@ def test_jain_rejects_bad_inputs():
         jain_fairness([5.0, -1.0])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["underflow", "overflow"])
+def test_jain_rescales_values_whose_squares_leave_the_float_range(scale):
+    assert scale * scale in (0.0, math.inf)
+    assert jain_fairness([scale, 3 * scale]) == pytest.approx(0.8)
+    assert jain_fairness([scale, 0.0]) == 0.5
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), min_size=1)
        .filter(lambda v: sum(x * x for x in v) > 0))
 def test_jain_bounds(values):
@@ -97,6 +104,8 @@ def test_85th_percentile_of_20_values_is_17th_order_statistic():
 
 
 def test_cdf_percentile_validates_q():
+    with pytest.raises(ValueError, match="empty"):
+        cdf_percentile([], 0.5)
     with pytest.raises(ValueError):
         cdf_percentile([1.0], 0.0)
     with pytest.raises(ValueError):

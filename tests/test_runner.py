@@ -238,6 +238,15 @@ def test_a_transfer_that_cannot_finish_fails_at_the_short_run_horizon():
         run_single(cfg, seed=1)
 
 
+def test_a_run_that_ends_before_the_first_ack_names_duration_s():
+    # the first ACK lands at 108 ms: 8 ms to serialize, then the 100 ms
+    # propagation RTT, so every goodput would be 0
+    cfg = load_config(text="[experiment]\nflows = 2\nstagger_s = 0\nduration_s = 0.05\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "no flow had data acknowledged within the run: duration_s = 0.05")):
+        run_single(cfg, seed=1)
+
+
 def test_backlog_probe_is_optional():
     cfg = short_config(duration_s=10)
     assert run_single(cfg, seed=2).backlog_probe is None

@@ -508,6 +508,21 @@ def test_app_stop_drains_and_cancels_timer():
     assert loop.pending() == 0
 
 
+@pytest.mark.parametrize("ack_at, sends_new_data", [(ms(100) - 1, True), (ms(100), False)],
+                         ids=["before_the_stop", "at_the_stop"])
+def test_an_ack_at_the_stop_time_sends_nothing_new_but_still_counts(ack_at, sends_new_data):
+    loop, link, sender = make_sender(cwnd0=2)
+    sender.app_stop_us = ms(100)
+    sender.start(0)
+    loop.run_until(ack_at)
+    assert link.fresh_seqs() == [0, MSS]
+    sender.on_ack(MSS)
+    assert sender.snd_una == MSS
+    assert sender.controller.cwnd_segments() == 3   # slow start grew the window
+    assert link.fresh_seqs() == ([0, MSS, 2 * MSS, 3 * MSS] if sends_new_data else [0, MSS])
+    assert sender._timer is not None   # [MSS, snd_max) is still outstanding
+
+
 def test_recovery_exit_at_snd_max_after_app_stop_cancels_timer():
     # RFC 6298 5.2: the timer is off once all data is acknowledged, also
     # when the ACK that covers snd_max ends a recovery

@@ -76,6 +76,9 @@ POINT_ROWS = (
                         "link.arq_retx_delay_ms=92", "link.arq_frame_error_prob=0.3",
                         "transport.rto_min_ms=96", "experiment.stagger_s=0.5",
                         "link.arq_max_retx=2", "link.residual_loss_prob=0.5")),
+    # the first ACK lands at 108,000 us, the run's end: the stop test alone
+    # decides whether new data goes out
+    (2, "0.108s", (1,), ("experiment.stagger_s=0",)),
 )
 
 MATRIX_CONFIG = ("[experiment]\nduration_s = 30\n"
