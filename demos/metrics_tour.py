@@ -39,6 +39,6 @@ print("  CDF spot checks: " + ", ".join(
 vectors = [(run.flows[0].goodput_bps / 1000,
             run.flows[0].mean_rtt_us / 1000,
             float(run.flows[0].timeouts)) for run in runs]
-pick = representative_flow(vectors, normalize=True)
+pick = representative_flow(vectors)
 print(f"\nrepresentative seed for plotting: {runs[pick].seed} "
-      f"(closest to the cross-seed mean in normalized units)")
+      f"(closest to the cross-seed mean, as `cclab matrix` picks)")

@@ -7,6 +7,7 @@ almost completely, the blind halving leaves a standing backlog.
 """
 
 import statistics
+from bisect import bisect_right
 
 from cclab.config import LabConfig
 from cclab.metrics import backlog_at
@@ -21,13 +22,15 @@ for variant in ("westwood+", "newreno"):
         result = run_single(config, seed=seed, variant=variant,
                             keep_backlog_probe=True)
         flow = result.flows[0]
+        sample_times, rtts = flow.rtt_samples.columns
         for (t, kind, pre, post, _ss) in flow.decreases:
             if kind != "3dupack":
                 continue
-            rtt = next((r for (ts, r) in reversed(flow.rtt_samples) if ts <= t), None)
-            if rtt is None:
+            # the last RTT sample at or before the decrease
+            i = bisect_right(sample_times, t)
+            if not i:
                 continue
-            residuals.append(backlog_at(result.backlog_probe, t + rtt))
+            residuals.append(backlog_at(result.backlog_probe, t + rtts[i - 1]))
     print(f"{variant}: {len(residuals)} decreases over 3 seeds")
     print(f"  queue one RTT after the decrease: min {min(residuals)}, "
           f"max {max(residuals)}, mean {statistics.mean(residuals):.1f} "

@@ -27,7 +27,7 @@ print()
 print("window trajectory, one sample every 10 s")
 print(f"  {'t [s]':>6} {'cwnd':>8} {'ssthresh':>9} {'srtt [ms]':>10}")
 for row in result.timeseries:
-    t_us, _fid, _var, cwnd, ssthresh, srtt = row[:6]
+    t_us, _fid, cwnd, ssthresh, srtt = row[:5]
     if t_us % 10_000_000 == 0:
         ss = "inf" if ssthresh == float("inf") else f"{ssthresh:.1f}"
         print(f"  {t_us / 1e6:6.0f} {cwnd:8.2f} {ss:>9} {srtt / 1000:10.1f}")

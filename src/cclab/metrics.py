@@ -127,12 +127,10 @@ def backlog_at(history: tuple[list[int], list[int]] | None, t: int) -> int:
     return counts[i] if i >= 0 else 0
 
 
-def representative_flow(vectors: list[tuple[float, ...]], normalize: bool = False) -> int:
+def representative_flow(vectors: list[tuple[float, ...]]) -> int:
     """Index of the run closest (euclidean) to the componentwise mean.
 
-    Ties go to the lowest index.  With normalize=True each component is
-    divided by its mean first, so differently scaled components weigh
-    equally.
+    Ties go to the lowest index.
     """
     if not vectors:
         raise ValueError("representative flow of an empty set")
@@ -141,14 +139,10 @@ def representative_flow(vectors: list[tuple[float, ...]], normalize: bool = Fals
         raise ValueError("vectors must share a dimension")
     n = len(vectors)
     means = [sum(v[d] for v in vectors) / n for d in range(dims)]
-    if normalize:
-        scales = [m if m != 0 else 1.0 for m in means]
-    else:
-        scales = [1.0] * dims
     best_idx = 0
     best_dist = math.inf
     for i, v in enumerate(vectors):
-        dist = sum(((v[d] - means[d]) / scales[d]) ** 2 for d in range(dims))
+        dist = sum((v[d] - means[d]) ** 2 for d in range(dims))
         if dist < best_dist:
             best_dist = dist
             best_idx = i

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .cc import make_controller
 from .config import LabConfig, ScenarioSpec
 from .engine import EventLoop, ms, seconds
-from .history import Timeseries
+from .history import Columns
 from .link import BottleneckLink
 from .metrics import (FlowMetrics, goodput_bps, jain_fairness, retx_ratio,
                       throughput_bps)
@@ -28,6 +28,13 @@ SUMMARY_SCHEMA = "cclab-summary-v1"
 TIMESERIES_COLUMNS = ("t_us", "flow_id", "variant", "cwnd_segments",
                       "ssthresh_segments", "srtt_us", "rto_us",
                       "bytes_acked_cum", "retx_cum", "timeouts_cum")
+
+
+class Timeseries(Columns):
+    """The sampler's rows: `TIMESERIES_COLUMNS` but the variant, which is the run's."""
+
+    __slots__ = ()
+    TYPECODES = "qqddqqqqq"
 
 
 @dataclass
@@ -99,26 +106,18 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
     # A row at tick t reads the state before any event at t: the loop runs
     # to t - 1 only, and the clock is in whole microseconds.
-    timeseries = Timeseries(variant, None if capture_timeseries else ())
+    timeseries = Timeseries(None if capture_timeseries else ())
     try:
         if capture_timeseries:
-            (add_t, add_flow, add_cwnd, add_ssthresh, add_srtt, add_rto, add_acked,
-             add_retx, add_timeouts) = [column.append for column in timeseries.columns]
+            append = timeseries.append
             interval_us = max(1, ms(config.sample_interval_ms))
             for t in range(0, end_us + 1, interval_us):
                 if t:
                     loop.run_until(t - 1)
                 for s in senders:
                     c = s.controller
-                    add_t(t)
-                    add_flow(s.flow_id)
-                    add_cwnd(c.cwnd_segments())
-                    add_ssthresh(c.ssthresh_segments())
-                    add_srtt(s.srtt_us())
-                    add_rto(s.rto_current_us)
-                    add_acked(s.snd_una)
-                    add_retx(s.retransmissions)
-                    add_timeouts(s.timeouts)
+                    append(t, s.flow_id, c.cwnd_segments(), c.ssthresh_segments(), s.srtt_us(),
+                           s.rto_current_us, s.snd_una, s.retransmissions, s.timeouts)
                 if all(s.done_at is not None for s in senders):
                     break
         loop.run_until(end_us)
@@ -133,9 +132,10 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     flow_metrics = []
     for s in senders:
         if s.done_at is None and budget is not None:
-            raise RuntimeError(
-                f"flow {s.flow_id} did not finish its {scenario.size_kb} KB "
-                f"transfer within {scenario.end_s:g} s")
+            raise ValueError(
+                f"flow {s.flow_id} did not finish its {scenario.size_kb} KB transfer within "
+                f"{scenario.end_s:g} s: scenario = short:{scenario.size_kb} cannot complete "
+                f"over this link")
         # a flow sends its first segment at its start, which validate puts before end_us
         flow_duration = (end_us if s.done_at is None else s.done_at) - s.started_at
         unique = s.snd_una
@@ -180,16 +180,18 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
 # output writers
 
-# one row per TIMESERIES_COLUMNS; the two window columns print with 6
-# decimals, and an infinite ssthresh as "inf"
-_TIMESERIES_ROW = "%s,%s,%s,%.6f,%.6f,%s,%s,%s,%s,%s\n"
+# one row per TIMESERIES_COLUMNS, with the run's variant put in by
+# `format`; the two window columns print with 6 decimals, and an
+# infinite ssthresh as "inf"
+_TIMESERIES_ROW = "%s,%s,{},%.6f,%.6f,%s,%s,%s,%s,%s\n"
 
 
 def write_timeseries_csv(path: str, result: RunResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {TIMESERIES_SCHEMA}\n")
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        fh.writelines(_TIMESERIES_ROW % row for row in result.timeseries)
+        row = _TIMESERIES_ROW.format(result.variant)
+        fh.writelines(row % fields for fields in result.timeseries)
 
 
 # the counters of a summary.json flow row, in the order they are written

@@ -311,7 +311,7 @@ class TcpSender:
         if self._probe_end is not None and ack >= self._probe_end:
             if self._probe_at is not None:
                 sample = now - self._probe_at
-                self.rtt_samples.add(now, sample)
+                self.rtt_samples.append(now, sample)
                 self.estimator.update(sample)
                 self.rto_current_us = self.estimator.rto_us()
                 self._on_rtt_sample(now, sample)

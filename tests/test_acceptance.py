@@ -9,6 +9,7 @@ shared across criteria.
 import random
 import statistics
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 from cclab.cc.bic import Bic
@@ -145,14 +146,15 @@ def test_criterion_04_queue_clearing_after_decrease(backlog_probe_runs):
     for variant, runs in backlog_probe_runs.items():
         values = []
         for run in runs:
-            samples = run.flows[0].rtt_samples
+            sample_times, rtts = run.flows[0].rtt_samples.columns
             for (t, kind, _pre, _post, _ss) in run.flows[0].decreases:
                 if kind != "3dupack":
                     continue
-                rtt = next((r for (ts, r) in reversed(samples) if ts <= t), None)
-                if rtt is None:
+                # the last RTT sample at or before the decrease
+                i = bisect_right(sample_times, t)
+                if not i:
                     continue
-                values.append(backlog_at(run.backlog_probe, t + rtt))
+                values.append(backlog_at(run.backlog_probe, t + rtts[i - 1]))
         residuals[variant] = values
 
     ww, nr = residuals["westwood+"], residuals["newreno"]

@@ -305,6 +305,19 @@ def test_a_run_too_short_to_measure_is_a_usage_error(tmp_path, capsys, text, mes
     assert not (tmp_path / "out").exists()
 
 
+def test_a_transfer_that_cannot_finish_is_a_usage_error(tmp_path, capsys):
+    # every frame fails its one ARQ retry and is then lost: no byte arrives
+    ini = tmp_path / "lost.ini"
+    ini.write_text("[experiment]\nscenario = short:50\n[link]\narq_frame_error_prob = 1\n"
+                   "arq_max_retx = 1\nresidual_loss_prob = 1\n")
+    rc, _, stderr = run_cli(capsys, "run", "--config", str(ini), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert stderr.startswith("error: flow 0 did not finish its 50 KB transfer within 3600 s: "
+                             "scenario = short:50 ")
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key, value", BAD_INPUTS,
                          ids=[f"{s}.{k}={v}" for s, k, v in BAD_INPUTS])
 def test_out_of_range_config_is_a_usage_error(tmp_path, capsys, section, key, value):

@@ -68,9 +68,9 @@ def test_a_moved_rtt_sample_reports_a_history_mismatch(tmp_path):
     base, patched = copy_tree(tmp_path, "base"), copy_tree(tmp_path, "patched")
     transport = patched / "src" / "cclab" / "transport.py"
     text = transport.read_text()
-    line = "self.rtt_samples.add(now, sample)"
+    line = "self.rtt_samples.append(now, sample)"
     assert text.count(line) == 1
-    transport.write_text(text.replace(line, "self.rtt_samples.add(now + 1, sample)"))
+    transport.write_text(text.replace(line, "self.rtt_samples.append(now + 1, sample)"))
     ok, lines = run_sweep((base, patched), POINTS[:1])
     assert not ok
     (report,) = lines

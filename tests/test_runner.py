@@ -91,20 +91,25 @@ def test_variant_and_flow_overrides_bypass_the_config():
     assert all(m.variant == "westwood+" for m in res.flows)
 
 
-def test_a_variant_alias_is_written_under_its_canonical_name():
+def test_a_variant_alias_is_written_under_its_canonical_name(tmp_path):
     config = load_config(text="[experiment]\nduration_s = 5\n")
     res = run_single(config, 1, variant="westwood", capture_timeseries=True)
     assert res.variant == "westwood+"
     assert {m.variant for m in res.flows} == {"westwood+"}
     assert summary_dict(config, res)["variant"] == "westwood+"
-    assert {row[2] for row in res.timeseries} == {"westwood+"}
+    write_run_outputs(str(tmp_path), config, res)
+    col = TIMESERIES_COLUMNS.index("variant")
+    rows = (tmp_path / "timeseries.csv").read_text().splitlines()[2:]
+    assert len(rows) == len(res.timeseries)
+    assert {row.split(",")[col] for row in rows} == {"westwood+"}
 
 
 def test_timeseries_rows_match_the_declared_columns(tmp_path):
     cfg = short_config(duration_s=10)
     res = run_single(cfg, seed=6, capture_timeseries=True)
     assert res.timeseries, "sampler produced no rows"
-    assert all(len(row) == len(TIMESERIES_COLUMNS) for row in res.timeseries)
+    # a stored row holds every column but the variant, which is the run's
+    assert all(len(row) == len(TIMESERIES_COLUMNS) - 1 for row in res.timeseries)
     times = [row[0] for row in res.timeseries]
     assert times == sorted(times)
     write_run_outputs(str(tmp_path), cfg, res)
@@ -112,6 +117,12 @@ def test_timeseries_rows_match_the_declared_columns(tmp_path):
     assert lines[0] == "# cclab-timeseries-v1"
     assert lines[1] == ",".join(TIMESERIES_COLUMNS)
     assert len(lines) == 2 + len(res.timeseries)
+    col = TIMESERIES_COLUMNS.index("variant")
+    for line, row in zip(lines[2:], res.timeseries):
+        fields = line.split(",")
+        assert fields[col] == res.variant
+        assert [int(fields[0]), int(fields[1])] == list(row[:2])
+        assert [int(v) for v in fields[col + 3:]] == list(row[col + 2:])
 
 
 def test_an_infinite_ssthresh_is_written_as_inf_until_the_first_decrease(tmp_path):
@@ -154,7 +165,7 @@ def test_a_row_reads_the_state_before_any_event_at_its_microsecond(variant, monk
     highest = list(accumulate((ack for _, ack in acks), max, initial=0))
     assert len(res.timeseries) == 251
     ties = 0
-    for t, _, _, _, _, _, _, acked, _, _ in res.timeseries:
+    for t, _, _, _, _, _, acked, _, _ in res.timeseries:
         before = bisect_left(times, t)
         assert acked == highest[before], t
         ties += before < len(times) and times[before] == t
@@ -233,7 +244,7 @@ def test_a_transfer_that_cannot_finish_fails_at_the_short_run_horizon():
     cfg = load_config(text="[experiment]\nscenario = short:50\n[link]\n"
                            "arq_frame_error_prob = 1\narq_max_retx = 1\n"
                            "residual_loss_prob = 1\n")
-    with pytest.raises(RuntimeError,
+    with pytest.raises(ValueError,
                        match="flow 0 did not finish its 50 KB transfer within 3600 s"):
         run_single(cfg, seed=1)
 

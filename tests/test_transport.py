@@ -350,7 +350,7 @@ def test_karn_no_rtt_sample_from_retransmitted_segment():
     loop.run_until(seconds(1))       # timeout; segment 0 now retransmitted
     loop_now = loop.now
     sender.on_ack(MSS)
-    assert sender.rtt_samples == []
+    assert list(sender.rtt_samples) == []
     # the next fresh segment is probed again
     loop.run_until(loop_now + ms(100))
     assert sender._probe_end is not None and sender._probe_at is not None
@@ -366,11 +366,11 @@ def test_karn_fast_retransmit_of_the_probe_voids_its_sample():
         sender.on_ack(0)             # segment 0, the probe, is resent
     loop.run_until(ms(200))
     sender.on_ack(sender.recovery_point)
-    assert sender.rtt_samples == []
+    assert list(sender.rtt_samples) == []
     # the probe ended with that ACK; fresh data sent after it is timed
     loop.run_until(ms(300))
     sender.on_ack(sender.snd_max)
-    assert sender.rtt_samples == [(ms(300), ms(100))]
+    assert list(sender.rtt_samples) == [(ms(300), ms(100))]
 
 
 # --- sender: burst accounting ----------------------------------------------

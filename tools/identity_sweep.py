@@ -5,7 +5,7 @@ way `cclab run` writes it.  Per point the sweep compares the SHA-256 of
 `summary.json` followed by `timeseries.csv`, and `link_delivered`, and
 it requires `cclab stats` to verify the written directory in both trees
 (`stats_ok`).  It compares the SHA-256 of every flow's stored history,
-its `rtt_samples` and `decreases` read as lists of tuples
+its `rtt_samples` rows and its `decreases`, each as a list of tuples
 (`history_sha256`), so a sample that moves is found even where the
 sample count and the mean RTT hold.  The point then runs again with
 `keep_backlog_probe=True`, and the sweep compares the SHA-256 of the
