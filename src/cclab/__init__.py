@@ -16,7 +16,6 @@ from .link import BottleneckLink, LinkConfig
 from .matrix import run_matrix
 from .metrics import (
     FlowMetrics,
-    box_whisker,
     empirical_cdf,
     jain_fairness,
     representative_flow,
@@ -38,7 +37,6 @@ __all__ = [
     "TcpSender",
     "TransportConfig",
     "VARIANTS",
-    "box_whisker",
     "empirical_cdf",
     "jain_fairness",
     "load_config",

@@ -1,10 +1,7 @@
 """Figure-style metrics computed from finished runs.
 
 Everything here is a pure function of recorded numbers; nothing touches
-the simulator.  Two percentile conventions are used on purpose: CDF
-percentiles are order statistics (smallest value whose cumulative
-fraction reaches the target), while box-and-whisker percentiles use
-linear interpolation between order statistics.
+the simulator.
 """
 
 from __future__ import annotations
@@ -68,54 +65,6 @@ def empirical_cdf(samples: list[float]) -> list[tuple[float, float]]:
             continue  # keep only the last index of a tie
         points.append((v, (i + 1) / n))
     return points
-
-
-def cdf_percentile(samples: list[float], q: float) -> float:
-    """Smallest sample whose cumulative fraction reaches q (0 < q <= 1)."""
-    if not samples:
-        raise ValueError("percentile of an empty sample set")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    ordered = sorted(samples)
-    rank = math.ceil(q * len(ordered))
-    return ordered[rank - 1]
-
-
-def _interp_percentile(ordered: list[float], q: float) -> float:
-    # linear interpolation between closest order statistics
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
-
-
-@dataclass
-class BoxWhisker:
-    q1: float
-    median: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-    mean: float
-    n: int
-
-
-def box_whisker(samples: list[float]) -> BoxWhisker:
-    """Quartile box with whiskers at the farthest samples within 1.5 IQR."""
-    if not samples:
-        raise ValueError("box summary of an empty sample set")
-    ordered = sorted(samples)
-    q1 = _interp_percentile(ordered, 0.25)
-    median = _interp_percentile(ordered, 0.5)
-    q3 = _interp_percentile(ordered, 0.75)
-    reach = 1.5 * (q3 - q1)
-    lo_limit = q1 - reach
-    hi_limit = q3 + reach
-    whisker_lo = min(v for v in ordered if v >= lo_limit)
-    whisker_hi = max(v for v in ordered if v <= hi_limit)
-    return BoxWhisker(q1, median, q3, whisker_lo, whisker_hi,
-                      sum(ordered) / len(ordered), len(ordered))
 
 
 def backlog_at(history: tuple[list[int], list[int]] | None, t: int) -> int:

@@ -14,7 +14,8 @@ cumulative ACKs then skip the cursor over anything the receiver already
 holds.  The timer runs exactly while data is outstanding, in three
 steps (RFC 6298 section 5): new data arms an idle timer (`maybe_send`),
 an ACK of new data stops or restarts it (`_restart_timer`), and an
-expiry backs off, re-arms and resends the front (`_on_timer`).
+expiry backs off, resends the front and arms a fresh timer
+(`_on_timer`).
 
 The send queue is the byte range `[snd_una, snd_max)`, cut at multiples
 of `mss` as it was first sent, so every ACK lands on a cut and the front
@@ -169,9 +170,6 @@ class TcpSender:
 
     # introspection
 
-    def effective_window_segments(self) -> int:
-        return self.controller.cwnd_floor() + self._inflation_segments   # 0 outside recovery
-
     def srtt_us(self) -> SimTime:
         return int(self.estimator.srtt_us) if self.estimator.srtt_us is not None else 0
 
@@ -184,7 +182,6 @@ class TcpSender:
     # sending
 
     def maybe_send(self) -> None:
-        # effective_window_segments inline; nothing below moves the window
         mss, snd_max = self.config.mss, self.snd_max
         limit = self.snd_una + (self.controller.cwnd_floor() + self._inflation_segments) * mss
         # Resend what a timeout rewound.  The timeout resends the front and
@@ -255,8 +252,8 @@ class TcpSender:
         self.dupack_count = 0
         self.snd_nxt = self.snd_una
         self._probe_end = None   # its timing is void once the cursor rewinds
-        self._arm_timer()
         self._repair_front()
+        self._arm_timer()
 
     # loss entry, shared by the timer and the third dupack
 
@@ -272,7 +269,6 @@ class TcpSender:
             self._episode_segs = set()
             self._episode_point = self.snd_max
         self._retransmit_front()
-        self._restart_timer()
 
     # receiving ACKs
 
@@ -293,6 +289,7 @@ class TcpSender:
         self._inflation_segments = self.config.dupack_threshold
         self._partial_seen = False
         self._repair_front()
+        self._restart_timer()
 
     def on_ack(self, ack: int) -> None:
         snd_una = self.snd_una

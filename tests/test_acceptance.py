@@ -18,7 +18,7 @@ from cclab.cc.params import SCALE, BicParams, CubicParams
 from cclab.config import LabConfig
 from cclab.engine import EventLoop, seconds
 from cclab.link import BottleneckLink
-from cclab.metrics import backlog_at, box_whisker, jain_fairness, representative_flow
+from cclab.metrics import backlog_at, jain_fairness, representative_flow
 from cclab.runner import _FlowPipe, run_single, write_run_outputs
 from cclab.transport import TcpSender
 
@@ -286,18 +286,13 @@ def test_criterion_12_metric_oracles():
         if representative_flow(rows) != brute:
             mismatches += 1
 
-    samples = [rng.uniform(0, 1000) for _ in range(1000)]
-    box = box_whisker(samples)
-    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    box_err = max(abs(box.q1 - q1), abs(box.median - med), abs(box.q3 - q3))
-
     draws = 1_000_000
     total = sum(arq_penalty(rng, 0.1, 1000, 10_000) for _ in range(draws))
     expected = 1000 * 0.1 / 0.9
     arq_err = abs(total / draws - expected) / expected
 
-    ok = mismatches == 0 and box_err <= 1e-9 and arq_err <= 0.01
+    ok = mismatches == 0 and arq_err <= 0.01
     _report("criterion 12 oracle equivalence", ok,
             f"representative_flow: {mismatches}/1000 mismatches vs brute "
-            f"force; box quartiles max err {box_err:.2e}; ARQ mean penalty "
-            f"off by {arq_err * 100:.2f}% over 1e6 draws (<=1%)")
+            f"force; ARQ mean penalty off by {arq_err * 100:.2f}% over 1e6 "
+            f"draws (<=1%)")

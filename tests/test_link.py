@@ -374,12 +374,12 @@ class _Driven:
     """A link fed `initial` (time, flow) offers, plus, on each ACK, as many more
     on the ACK's flow as the next entry of `reactions` says.
 
-    The ACK handler offers at once and files nothing for later: an entry filed
+    The ACK handler offers at once, or `react_after` us later.  An entry filed
     at a departure's microsecond for a later one is where the two links part
-    (see `BottleneckLink`).
+    (see `BottleneckLink`), so the random scripts offer at once.
     """
 
-    def __init__(self, link_class, cfg, draws, initial, reactions):
+    def __init__(self, link_class, cfg, draws, initial, reactions, react_after=0):
         self.loop = loop = EventLoop()
         self.link = link = link_class(loop, cfg, ScriptedRng(draws), record_backlog=True)
         self.sunk, self.acks = [], []
@@ -394,7 +394,10 @@ class _Driven:
         def on_ack(packet):
             self.acks.append((loop.now, *packet))
             for _ in range(reactions.popleft() if reactions else 0):
-                send(packet[0])
+                if react_after:
+                    loop.post(loop.now + react_after, send, packet[0])
+                else:
+                    send(packet[0])
 
         def sink(fid, seq, payload_len):
             self.sunk.append((fid, seq))
@@ -445,3 +448,26 @@ def test_closed_form_link_matches_an_event_driven_fifo(
     assert fast.sunk == reference.sunk
     assert fast.acks == reference.acks
     assert fast.link.quiescent_accounting_ok()    # every accepted packet accounted for
+
+
+def test_an_offer_filed_at_a_departure_for_the_next_sorts_after_the_next_in_closed_form():
+    # 10 us a packet, queue of one.  Packets 0-4 depart at 10, 20, 30, 40
+    # and 50 us; at 40 us packet 4 waits behind packet 3.  The ACK of
+    # packet 0 lands at 30 us, before packet 2's departure there, and
+    # offers one hold later, at packet 3's departure.  The closed-form link
+    # took packet 3's departure key at 11 us, so the offer sorts after the
+    # departure and finds a free place.  The event-driven server files the
+    # departure only as packet 2 departs, after the offer, which then finds
+    # the queue full.
+    cfg = LinkConfig(rate_bps=1_200_000_000, prop_rtt_us=20, queue_capacity=1,
+                     arq_frame_error_prob=0.0)
+    initial = [(0, 0), (0, 0), (11, 0), (21, 0), (31, 0)]
+    fast = _Driven(BottleneckLink, cfg, [], initial, [1], react_after=10)
+    reference = _Driven(ReferenceLink, cfg, [], initial, [1], react_after=10)
+    assert fast.state_at(39) == reference.state_at(39)
+    fast.loop.run_until(seconds(1))
+    reference.loop.run_until(seconds(1))
+    assert (fast.link.offered, fast.link.dropped_tail) == (6, 0)
+    assert (reference.link.offered, reference.link.dropped_tail) == (6, 1)
+    assert fast.sunk == [(0, seq) for seq in range(6)]
+    assert reference.sunk == [(0, seq) for seq in range(5)]

@@ -1,14 +1,12 @@
-"""Statistics layer: fairness, CDFs, box summaries, representative runs."""
+"""Statistics layer: rates, fairness, CDFs, representative runs."""
 
 import math
-import statistics
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from cclab import metrics
-from cclab.metrics import (box_whisker, cdf_percentile, empirical_cdf,
-                           jain_fairness, representative_flow)
+from cclab.metrics import empirical_cdf, jain_fairness, representative_flow
 
 positive_floats = st.floats(min_value=1e-3, max_value=1e9,
                             allow_nan=False, allow_infinity=False)
@@ -98,20 +96,6 @@ def test_cdf_rejects_empty():
         empirical_cdf([])
 
 
-def test_85th_percentile_of_20_values_is_17th_order_statistic():
-    samples = [float(10 * k) for k in range(1, 21)]   # 20 equally spaced
-    assert cdf_percentile(samples, 0.85) == sorted(samples)[16]
-
-
-def test_cdf_percentile_validates_q():
-    with pytest.raises(ValueError, match="empty"):
-        cdf_percentile([], 0.5)
-    with pytest.raises(ValueError):
-        cdf_percentile([1.0], 0.0)
-    with pytest.raises(ValueError):
-        cdf_percentile([1.0], 1.5)
-
-
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
                 min_size=1))
 def test_cdf_fractions_increase_and_end_at_one(samples):
@@ -121,67 +105,6 @@ def test_cdf_fractions_increase_and_end_at_one(samples):
     assert values == sorted(set(values))
     assert all(b > a for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] == 1.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-                min_size=1), st.floats(min_value=0.01, max_value=1.0))
-def test_cdf_percentile_matches_sort_oracle(samples, q):
-    n = len(samples)
-    # stay away from exact rank boundaries, where float rounding of q*n
-    # legitimately tips the answer to either neighbor
-    assume(abs(q * n - round(q * n)) > 1e-6)
-    ordered = sorted(samples)
-    oracle = next(v for i, v in enumerate(ordered) if (i + 1) / n >= q)
-    assert cdf_percentile(samples, q) == oracle
-
-
-# --- box and whisker -------------------------------------------------------
-
-
-def test_box_singleton_collapses():
-    box = box_whisker([5.0])
-    assert (box.q1, box.median, box.q3) == (5.0, 5.0, 5.0)
-    assert (box.whisker_lo, box.whisker_hi) == (5.0, 5.0)
-    assert box.mean == 5.0 and box.n == 1
-
-
-def test_box_median_of_one_through_eight():
-    box = box_whisker([float(v) for v in range(1, 9)])
-    assert box.median == 4.5
-
-
-def test_box_whisker_excludes_far_outlier():
-    box = box_whisker([1.0, 2.0, 3.0, 100.0])
-    # q3 + 1.5 IQR is far below 100, so the whisker stops at 3
-    assert box.q3 + 1.5 * (box.q3 - box.q1) < 100.0
-    assert box.whisker_hi == 3.0
-    assert box.whisker_lo == 1.0
-
-
-def test_box_rejects_empty():
-    with pytest.raises(ValueError):
-        box_whisker([])
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-                min_size=2, max_size=200))
-def test_box_quartiles_match_statistics_module(samples):
-    box = box_whisker(samples)
-    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    assert box.q1 == pytest.approx(q1, rel=1e-9, abs=1e-9)
-    assert box.median == pytest.approx(med, rel=1e-9, abs=1e-9)
-    assert box.q3 == pytest.approx(q3, rel=1e-9, abs=1e-9)
-    assert box.median == pytest.approx(statistics.median(samples), rel=1e-9, abs=1e-9)
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-                min_size=1, max_size=200))
-def test_box_whiskers_are_samples_inside_the_reach(samples):
-    box = box_whisker(samples)
-    reach = 1.5 * (box.q3 - box.q1)
-    inside = [v for v in samples if box.q1 - reach <= v <= box.q3 + reach]
-    assert box.whisker_lo == min(inside)
-    assert box.whisker_hi == max(inside)
 
 
 # --- representative selection ----------------------------------------------

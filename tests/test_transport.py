@@ -16,6 +16,11 @@ from cclab.transport import (ProtocolError, RtoEstimator, TcpReceiver, TcpSender
 MSS = 1460
 
 
+def usable_window(sender):
+    """Segments the sender may have in flight: cwnd plus recovery inflation."""
+    return sender.controller.cwnd_floor() + sender._inflation_segments
+
+
 class RecordingLink:
     """Link stub that records offers and checks the window discipline.
 
@@ -35,7 +40,7 @@ class RecordingLink:
             # new data must respect the usable window; resends of data
             # already charged to the flight are exempt
             s = self.sender
-            assert s.snd_nxt - s.snd_una <= s.effective_window_segments() * MSS
+            assert s.snd_nxt - s.snd_una <= usable_window(s) * MSS
         self.sent.append((self.loop.now, seq, is_retx))
         return True
 
@@ -243,9 +248,9 @@ def test_extra_dupacks_inflate_the_window():
     loop.run_until(ms(100))
     for _ in range(3):
         sender.on_ack(0)
-    assert sender.effective_window_segments() == 10 + 3
+    assert usable_window(sender) == 10 + 3
     sender.on_ack(0)
-    assert sender.effective_window_segments() == 10 + 4
+    assert usable_window(sender) == 10 + 4
 
 
 def test_partial_ack_repairs_next_hole_without_second_decrease():
@@ -272,7 +277,7 @@ def test_full_ack_exits_recovery_and_deflates():
     loop.run_until(ms(200))
     sender.on_ack(sender.recovery_point)
     assert not sender.in_recovery
-    assert sender.effective_window_segments() == 10
+    assert usable_window(sender) == 10
     assert sender.dupack_count == 0
 
 
@@ -293,6 +298,38 @@ def test_recovery_timer_restarts_on_first_partial_only():
 
 
 # --- sender: timeout path --------------------------------------------------
+
+
+class CountingLoop(EventLoop):
+    """Event loop that records the sender's timer calls into the engine."""
+
+    def __init__(self):
+        super().__init__()
+        self.timer_calls = []
+
+    def schedule(self, fire_at, action):
+        self.timer_calls.append("schedule")
+        return super().schedule(fire_at, action)
+
+    def reschedule(self, handle, fire_at):
+        self.timer_calls.append("reschedule")
+        return super().reschedule(handle, fire_at)
+
+
+def test_an_expiry_arms_the_next_timer_with_one_schedule():
+    loop = CountingLoop()
+    link = RecordingLink(loop)
+    config = TransportConfig(initial_cwnd_segments=4)
+    sender = TcpSender(loop, 0, config, make_controller("newreno", 4, 44.0, MSS), link)
+    link.sender = sender
+    sender.start(0)
+    loop.run_until(0)
+    assert loop.timer_calls == ["schedule"]   # the first segment arms the idle timer
+    loop.run_until(seconds(1))                # the 1 s initial RTO expires
+    assert sender.timeouts == 1 and link.retx_seqs() == [0]
+    assert loop.timer_calls == ["schedule", "schedule"]
+    assert sender._timer.action is not None
+    assert sender._timer.fire_at == seconds(1) + sender.rto_current_us == seconds(3)
 
 
 def test_timeout_collapses_window_and_rewinds():
@@ -423,8 +460,9 @@ class LossyLink:
     """Link stub that drops the offers whose flag is set; the rest reach a
     real receiver, whose ACK arrives 50 ms later.  Every offer is checked
     against the byte range the sender has in flight, and the sender's
-    timer is live exactly while data is outstanding: at every offer and
-    after every ACK."""
+    timer is live exactly while data is outstanding: after every ACK, and
+    at every offer but an expiry's resend of the front, which goes out
+    before the expiry arms the next timer."""
 
     def __init__(self, loop, drops, total):
         self.loop = loop
@@ -439,7 +477,9 @@ class LossyLink:
         assert seq % MSS == 0
         assert payload_len == min(MSS, self.total - seq)
         assert s.snd_una <= s.snd_nxt <= s.snd_max
-        assert s._timer is not None and s._timer.action is not None
+        timer = s._timer
+        # a dead handle only while its own expiry is being dispatched
+        assert timer is not None and (timer.action is not None or timer.key == self.loop.key)
         drop = len(self.offers) < len(self.drops) and self.drops[len(self.offers)]
         self.offers.append(seq)
         if not drop:
