@@ -22,15 +22,12 @@ class WestwoodPlus(Controller):
         self.mss = mss
         self.bwe_bytes_per_s: float | None = None
         self.rtt_min_us: int | None = None
+        # the sample interval, max(RTT_min, floor): moves only with RTT_min
+        self.interval_us = self.params.min_interval_us
         self._interval_start_us: int | None = None
         self._acked_in_interval = 0
 
     # bandwidth estimation
-
-    def _interval_us(self) -> int:
-        if self.rtt_min_us is None:
-            return self.params.min_interval_us
-        return max(self.rtt_min_us, self.params.min_interval_us)
 
     def _push_sample(self, sample: float) -> None:
         gain = self.params.filter_gain
@@ -42,14 +39,13 @@ class WestwoodPlus(Controller):
     def on_ack_observed(self, now_us: int, acked_bytes: int, is_dupack: bool) -> None:
         if self._interval_start_us is None:
             self._interval_start_us = now_us
-        interval = self._interval_us()
+        interval = self.interval_us
         # close every elapsed interval first; gaps contribute zero samples
         while now_us - self._interval_start_us >= interval:
             sample = self._acked_in_interval * US_PER_S / interval
             self._push_sample(sample)
             self._acked_in_interval = 0
             self._interval_start_us += interval
-            interval = self._interval_us()
         if is_dupack:
             # a duplicate ACK still means one segment left the network
             self._acked_in_interval += self.mss
@@ -59,6 +55,7 @@ class WestwoodPlus(Controller):
     def on_rtt_sample(self, now_us: int, rtt_us: int) -> None:
         if self.rtt_min_us is None or rtt_us < self.rtt_min_us:
             self.rtt_min_us = rtt_us
+            self.interval_us = max(rtt_us, self.params.min_interval_us)
 
     # the loss window
 

@@ -126,7 +126,6 @@ class TcpSender:
         self.flow_id = flow_id
         self.config = config
         self.controller = controller
-        self.link = link
         # new data goes out before app_stop_us and below total_bytes; None
         # is a source that never stops, or never runs dry
         self.total_bytes = UNBOUNDED if total_bytes is None else total_bytes
@@ -160,9 +159,13 @@ class TcpSender:
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
-        # per-ACK callees, bound once; a law that keeps Controller's no-op
-        # ACK hook is not called for it (a hook patched in is called)
+        # per-ACK callees and settings, bound once; a law that keeps
+        # Controller's no-op ACK hook is not called for it (a hook patched
+        # in is called)
         self._reschedule = loop.reschedule
+        self._offer = link.offer
+        self._mss, self._wire_len = config.mss, config.wire_len
+        self._on_ack_growth = controller.on_ack_growth
         self._on_ack_observed = (
             None if type(controller).on_ack_observed is Controller.on_ack_observed
             else controller.on_ack_observed)
@@ -182,7 +185,7 @@ class TcpSender:
     # sending
 
     def maybe_send(self) -> None:
-        mss, snd_max = self.config.mss, self.snd_max
+        mss, snd_max = self._mss, self.snd_max
         limit = self.snd_una + (self.controller.cwnd_floor() + self._inflation_segments) * mss
         # Resend what a timeout rewound.  The timeout resends the front and
         # leaves snd_nxt on it, but no maybe_send runs before a new ACK moves
@@ -195,17 +198,18 @@ class TcpSender:
                 return
             self._retransmit(seq, end)
             self.snd_nxt = end
-        # new data until the source stops or runs dry: nearly every packet
-        now, budget = self.loop.now, self.total_bytes
+        # new data until the source stops or runs dry: nearly every packet.
+        # snd_nxt equals snd_max here; it and limit sit on mss cuts while any
+        # budget is left, so each segment below stop is whole but the last
+        now = self.loop.now
         if now >= self.app_stop_us:
             return
-        while True:
-            seq = self.snd_nxt   # equals snd_max here
+        stop = min(limit, self.total_bytes)
+        seq = self.snd_nxt
+        while seq < stop:
             end = seq + mss
-            if end > budget:
-                end = budget   # the budget's last segment, or none
-            if end <= seq or end > limit:
-                return
+            if end > stop:
+                end = stop
             length = end - seq
             self.snd_nxt = self.snd_max = end
             self.transmissions += 1
@@ -214,7 +218,8 @@ class TcpSender:
                 self._probe_end, self._probe_at = end, now
             if self._timer is None:
                 self._arm_timer()
-            self.link.offer(self.flow_id, seq, length, self.config.wire_len)
+            self._offer(self.flow_id, seq, length, self._wire_len)
+            seq = end
 
     def _retransmit(self, seq: int, end: int) -> None:
         self.transmissions += 1
@@ -224,7 +229,7 @@ class TcpSender:
             self._probe_at = None   # Karn: no sample until this end is acked
         if self._episode_segs is not None:
             self._episode_segs.add(seq)
-        self.link.offer(self.flow_id, seq, end - seq, self.config.wire_len)
+        self._offer(self.flow_id, seq, end - seq, self._wire_len)
 
     def _retransmit_front(self) -> None:
         una = self.snd_una   # below snd_max: a timeout, a third dupack or a partial ACK
@@ -331,7 +336,7 @@ class TcpSender:
                     self._restart_timer()
         else:
             self.dupack_count = 0
-            self.controller.on_ack_growth(now)
+            self._on_ack_growth(now)
             if ack < self.snd_max:   # _restart_timer inline: the per-ACK path
                 self._timer = self._reschedule(self._timer, now + self.rto_current_us)
             else:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cclab.cc import make_controller
 from cclab.cc.newreno import NewReno
+from cclab.cc.params import SCALE
 from cclab.engine import EventLoop, ms, seconds
 from cclab.link import BottleneckLink, LinkConfig
 from cclab.transport import (ProtocolError, RtoEstimator, TcpReceiver, TcpSender,
@@ -453,6 +454,66 @@ def test_timeout_then_slow_start_resends_count_as_one_burst():
     assert sender.retx_bursts == [3]
 
 
+# --- sender: the send bound -----------------------------------------------
+
+
+class OfferLog:
+    """Link stub that keeps each offer as (seq, payload length)."""
+
+    def __init__(self):
+        self.offered = []
+
+    def offer(self, flow_id, seq, payload_len, wire_len):
+        self.offered.append((seq, payload_len))
+        return True
+
+
+def per_segment_offers(snd_una, snd_nxt, snd_max, window, mss, budget):
+    """The (seq, length) offers of `maybe_send`'s per-segment rule.
+
+    Each rewound segment, then each new one, goes out only if it ends
+    within the window; new data stops at the budget.
+    """
+    limit = snd_una + window * mss
+    offers = []
+    while snd_nxt < snd_max:
+        end = min(snd_nxt + mss, snd_max)
+        if end > limit:
+            return offers
+        offers.append((snd_nxt, end - snd_nxt))
+        snd_nxt = end
+    while True:
+        end = min(snd_nxt + mss, budget)
+        if end <= snd_nxt or end > limit:
+            return offers
+        offers.append((snd_nxt, end - snd_nxt))
+        snd_nxt = end
+
+
+@settings(max_examples=500, deadline=None)
+@given(mss=st.integers(2, 1500), cwnd_fp=st.integers(SCALE, 40 * SCALE),
+       inflation=st.integers(0, 6), full=st.integers(0, 60), data=st.data())
+def test_the_send_bound_offers_what_the_per_segment_rule_offers(
+        mss, cwnd_fp, inflation, full, data):
+    # a budget off the mss grid, and a queue cut at mss as it was first
+    # sent: snd_una <= snd_nxt <= snd_max on cuts, the budget the last one
+    budget = full * mss + data.draw(st.integers(1, mss - 1), "tail")
+    cuts = [k * mss for k in range(full + 1)] + [budget]
+    una, nxt, top = sorted(data.draw(st.lists(st.sampled_from(cuts), min_size=3, max_size=3),
+                                     "una, nxt, max"))
+    link = OfferLog()
+    ctrl = NewReno(2, 44.0)
+    ctrl.cwnd = cwnd_fp
+    sender = TcpSender(EventLoop(), 0, TransportConfig(mss=mss), ctrl, link, total_bytes=budget)
+    sender.snd_una, sender.snd_nxt, sender.snd_max = una, nxt, top   # a timeout rewound nxt
+    sender._inflation_segments = inflation
+    expected = per_segment_offers(una, nxt, top, ctrl.cwnd_floor() + inflation, mss, budget)
+    sender.maybe_send()
+    assert link.offered == expected
+    assert sender.snd_nxt == (expected[-1][0] + expected[-1][1] if expected else nxt)
+    assert sender.snd_max == max(top, sender.snd_nxt)
+
+
 # --- sender: randomized loss -----------------------------------------------
 
 
@@ -595,11 +656,7 @@ def test_short_transfer_completes_and_reports():
         acks.append((loop.now, ack))
         sender.on_ack(ack)
 
-    def sink(seq, payload_len):
-        ack = rcv.on_segment(seq, payload_len)
-        link.send_reverse(on_ack, ack)
-
-    link.register_sink(0, sink)
+    link.register_sink(0, rcv.on_segment, on_ack)
     sender.start(0)
     loop.run_until(seconds(30))
     # done at the first ACK of the last byte, and only then
@@ -619,11 +676,7 @@ def test_clean_channel_run_keeps_sender_and_receiver_consistent():
     rcv = CountingReceiver()
     sender = TcpSender(loop, 0, cfg, ctrl, link)
 
-    def sink(seq, payload_len):
-        ack = rcv.on_segment(seq, payload_len)
-        link.send_reverse(sender.on_ack, ack)
-
-    link.register_sink(0, sink)
+    link.register_sink(0, rcv.on_segment, sender.on_ack)
     sender.start(0)
     sender.app_stop_us = seconds(8)   # stop before growth can overflow the queue
     loop.run_until(seconds(20))

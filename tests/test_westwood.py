@@ -45,15 +45,39 @@ def test_filter_converges_from_a_cold_start():
 
 def test_sample_interval_floor_is_50ms_before_any_rtt():
     ctrl = make()
-    assert ctrl._interval_us() == 50_000
+    assert ctrl.interval_us == 50_000
 
 
 def test_sample_interval_tracks_min_rtt_when_longer():
     ctrl = make()
     ctrl.on_rtt_sample(0, 200_000)
-    assert ctrl._interval_us() == 200_000
+    assert ctrl.interval_us == 200_000
     ctrl.on_rtt_sample(0, 30_000)
-    assert ctrl._interval_us() == 50_000
+    assert ctrl.interval_us == 50_000
+
+
+@given(st.lists(st.integers(min_value=1_000, max_value=300_000), min_size=1))
+def test_sample_interval_follows_each_new_min_rtt_down_to_the_floor(samples):
+    ctrl = make()
+    for i, s in enumerate(samples):
+        before = ctrl.interval_us
+        ctrl.on_rtt_sample(0, s)
+        low = min(samples[: i + 1])
+        assert ctrl.interval_us == max(low, 50_000)
+        if i and s >= min(samples[:i]):   # no new minimum: the interval stands
+            assert ctrl.interval_us == before
+
+
+def test_a_sample_above_the_minimum_leaves_the_interval_unchanged():
+    ctrl = make()
+    ctrl.on_rtt_sample(0, 120_000)
+    for s in (120_000, 130_000, 2_000_000):
+        ctrl.on_rtt_sample(0, s)
+        assert (ctrl.rtt_min_us, ctrl.interval_us) == (120_000, 120_000)
+    ctrl.on_rtt_sample(0, 40_000)
+    assert (ctrl.rtt_min_us, ctrl.interval_us) == (40_000, 50_000)
+    ctrl.on_rtt_sample(0, 45_000)
+    assert (ctrl.rtt_min_us, ctrl.interval_us) == (40_000, 50_000)
 
 
 def test_ack_counting_produces_rate_samples():
