@@ -13,9 +13,9 @@ recursion: `D_k = max(A_k, D_{k-1}) + hold_k`.  A packet's ARQ draws,
 and so its hold and its fate, are taken when it is accepted, in
 acceptance order, so the link knows its departure at once and runs its
 sink there and then: the receiver sees each segment at acceptance, in
-delivery order, and returns its ACK.  The delay-only reverse channel is
-one line of `offer`: it files the ACK, never queued, for the departure
-plus both propagation halves, so a delivered packet costs one event.
+delivery order.  The sink's ACK rides a delay-only reverse channel that
+never queues; it is filed for the departure plus both propagation
+halves, so a delivered packet costs one event.
 """
 
 from __future__ import annotations
@@ -76,12 +76,10 @@ class BottleneckLink:
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
                  record_backlog: bool = False):
         self.loop = loop
-        self._file = loop.file   # bound once: offer files an ACK per delivered packet
+        self._file = loop.file   # bound once: send_reverse runs once per packet
         self.config = config
         self.rng = rng
-        # flow id -> (sink, where the sink's ACK goes)
-        self._sinks: dict[int, tuple[Callable[[int, int], object],
-                                     Callable[[object], None]]] = {}
+        self._sinks: dict[int, Callable[[int, int], None]] = {}
         # counters
         self.offered = 0
         self.dropped_tail = 0
@@ -92,19 +90,20 @@ class BottleneckLink:
         # key of its departure, flow id if ARQ abandons it once served)
         self._pending: deque[tuple[SimTime, int, int | None]] = deque()
         self._start_key = 0      # the service-start key of a packet queued behind them
+        self._ack_at: SimTime = 0
+        self._ack_key = 0
         self._landed = 0
         self._flying: deque[SimTime] = deque()   # landing times, oldest first
         self._history: tuple[list[SimTime], list[int]] | None = (
             ([0], [0]) if record_backlog else None)
 
-    def register_sink(self, flow_id: int, sink: Callable[[int, int], object],
-                      ack_to: Callable[[object], None]) -> None:
-        """Deliver flow_id's packets as sink(seq, payload_len), and its ACK as ack_to(ack)."""
-        self._sinks[flow_id] = (sink, ack_to)
+    def register_sink(self, flow_id: int, sink: Callable[[int, int], None]) -> None:
+        """Deliver flow_id's packets as sink(seq, payload_len)."""
+        self._sinks[flow_id] = sink
         self._per_flow_drops.setdefault(flow_id, 0)
 
     def clear_sinks(self) -> None:
-        """Forget every registered sink; an ACK target usually holds the link."""
+        """Forget every registered sink; a sink usually holds the link."""
         self._sinks.clear()
 
     @property
@@ -172,16 +171,16 @@ class BottleneckLink:
         # two keys filed at the departure: the successor's service start, then the ACK
         key = self._start_key = loop.take_keys(departs, 2)
         pending.append((departs, start_key, None))
-        # count what has landed by now; this packet lands one way after it departs
-        flying = self._flying
-        while flying and flying[0] <= now:
-            flying.popleft()
-            self._landed += 1
-        one_way = self.one_way_us
-        flying.append(departs + one_way)
-        sink, ack_to = self._sinks[flow_id]
-        self._file(departs + 2 * one_way, key + 1, ack_to, sink(seq, payload_len))
+        self._deliver(flow_id, seq, payload_len, departs, key + 1, now)
         return True
+
+    def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
+        """From a sink: carry the ACK of the packet being delivered back as fn(arg).
+
+        It fires both propagation halves after the packet departs; the
+        channel never queues.
+        """
+        self._file(self._ack_at, self._ack_key, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -223,3 +222,14 @@ class BottleneckLink:
                 abandoned = pending[0][2]
                 if abandoned is not None:
                     self._count_arq_drop(abandoned)
+
+    def _deliver(self, flow_id: int, seq: int, payload_len: int, departs: SimTime,
+                 ack_key: int, now: SimTime) -> None:
+        flying = self._flying
+        while flying and flying[0] <= now:
+            flying.popleft()
+            self._landed += 1
+        flying.append(departs + self.one_way_us)
+        self._ack_at = departs + 2 * self.one_way_us
+        self._ack_key = ack_key
+        self._sinks[flow_id](seq, payload_len)

@@ -54,6 +54,20 @@ class RunResult:
     backlog_probe: tuple[list[int], list[int]] | None = field(repr=False, default=None)
 
 
+class _FlowPipe:
+    """Receiver side of one flow plus the ACK return path."""
+
+    def __init__(self, link: BottleneckLink, sender: TcpSender):
+        self.receiver = TcpReceiver()
+        # the per-packet callees, bound once
+        self._on_segment = self.receiver.on_segment
+        self._send_reverse = link.send_reverse
+        self._on_ack = sender.on_ack
+
+    def on_packet(self, seq: int, payload_len: int) -> None:
+        self._send_reverse(self._on_ack, self._on_segment(seq, payload_len))
+
+
 def run_single(config: LabConfig, seed: int, run_index: int = 0,
                variant: str | None = None, flows: int | None = None,
                scenario: ScenarioSpec | None = None,
@@ -84,7 +98,8 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             config.params_for(variant))
         sender = TcpSender(loop, flow_id, config.transport, controller, link,
                            total_bytes=budget, app_stop_us=end_us)
-        link.register_sink(flow_id, TcpReceiver().on_segment, sender.on_ack)
+        pipe = _FlowPipe(link, sender)
+        link.register_sink(flow_id, pipe.on_packet)
         start_at = seconds(stagger_rng.uniform(0.0, config.stagger_s))
         sender.start(start_at)
         senders.append(sender)
@@ -108,9 +123,9 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         loop.run_until(end_us)
     finally:
         # Break the run's reference cycles (pending events -> actions ->
-        # senders and link -> loop, link -> ACK targets -> senders -> link)
-        # so that a finished run is freed as soon as it is dropped, not when
-        # the cyclic collector next gets to it.
+        # senders and link -> loop, link sinks <-> pipes) so that a finished
+        # run is freed as soon as it is dropped, not when the cyclic
+        # collector next gets to it.
         loop.clear()
         link.clear_sinks()
 

@@ -95,11 +95,8 @@ class TcpReceiver:
             self._insert_run(seq, end)
         elif end > self.rcv_nxt:   # else a duplicate: the cumulative ACK stands
             runs = self._runs
-            i = 0
-            while i < len(runs) and runs[i][0] <= end:
-                end = max(end, runs[i][1])
-                i += 1
-            del runs[:i]
+            while runs and runs[0][0] <= end:   # merge the runs the segment reaches
+                end = max(end, runs.pop(0)[1])
             self.rcv_nxt = end
         return self.rcv_nxt
 
@@ -126,6 +123,7 @@ class TcpSender:
         self.flow_id = flow_id
         self.config = config
         self.controller = controller
+        self.link = link
         # new data goes out before app_stop_us and below total_bytes; None
         # is a source that never stops, or never runs dry
         self.total_bytes = UNBOUNDED if total_bytes is None else total_bytes
@@ -147,9 +145,8 @@ class TcpSender:
         self._probe_at: Optional[SimTime] = None    # its send time; Karn voids it on resend
 
         # measurement
-        self.transmissions = 0
         self.retransmissions = 0
-        self.bytes_sent = 0
+        self._retx_bytes = 0   # payload resent; new data is [0, snd_max)
         self.timeouts = 0
         self.started_at: Optional[SimTime] = None
         self.done_at: Optional[SimTime] = None
@@ -159,19 +156,25 @@ class TcpSender:
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
-        # per-ACK callees and settings, bound once; a law that keeps
-        # Controller's no-op ACK hook is not called for it (a hook patched
-        # in is called)
+        # per-ACK callees, bound once; a law that keeps Controller's no-op
+        # ACK hook is not called for it (a hook patched in is called)
         self._reschedule = loop.reschedule
-        self._offer = link.offer
-        self._mss, self._wire_len = config.mss, config.wire_len
-        self._on_ack_growth = controller.on_ack_growth
         self._on_ack_observed = (
             None if type(controller).on_ack_observed is Controller.on_ack_observed
             else controller.on_ack_observed)
         self._on_rtt_sample = controller.on_rtt_sample
 
     # introspection
+
+    @property
+    def transmissions(self) -> int:
+        """Segments sent: each cut of [0, snd_max) once, then the resends."""
+        return -(-self.snd_max // self.config.mss) + self.retransmissions
+
+    @property
+    def bytes_sent(self) -> int:
+        """Payload bytes sent, resends included."""
+        return self.snd_max + self._retx_bytes
 
     def srtt_us(self) -> SimTime:
         return int(self.estimator.srtt_us) if self.estimator.srtt_us is not None else 0
@@ -185,7 +188,7 @@ class TcpSender:
     # sending
 
     def maybe_send(self) -> None:
-        mss, snd_max = self._mss, self.snd_max
+        mss, snd_max = self.config.mss, self.snd_max
         limit = self.snd_una + (self.controller.cwnd_floor() + self._inflation_segments) * mss
         # Resend what a timeout rewound.  The timeout resends the front and
         # leaves snd_nxt on it, but no maybe_send runs before a new ACK moves
@@ -198,38 +201,32 @@ class TcpSender:
                 return
             self._retransmit(seq, end)
             self.snd_nxt = end
-        # new data until the source stops or runs dry: nearly every packet.
-        # snd_nxt equals snd_max here; it and limit sit on mss cuts while any
-        # budget is left, so each segment below stop is whole but the last
+        # new data, on the queue's cuts, until the source stops or runs dry: nearly every packet
         now = self.loop.now
         if now >= self.app_stop_us:
             return
-        stop = min(limit, self.total_bytes)
+        stop = limit if limit < self.total_bytes else self.total_bytes
         seq = self.snd_nxt
         while seq < stop:
             end = seq + mss
             if end > stop:
                 end = stop
-            length = end - seq
             self.snd_nxt = self.snd_max = end
-            self.transmissions += 1
-            self.bytes_sent += length
             if self._probe_end is None:
                 self._probe_end, self._probe_at = end, now
             if self._timer is None:
                 self._arm_timer()
-            self._offer(self.flow_id, seq, length, self._wire_len)
+            self.link.offer(self.flow_id, seq, end - seq, self.config.wire_len)
             seq = end
 
     def _retransmit(self, seq: int, end: int) -> None:
-        self.transmissions += 1
-        self.bytes_sent += end - seq
         self.retransmissions += 1
+        self._retx_bytes += end - seq
         if end == self._probe_end:
             self._probe_at = None   # Karn: no sample until this end is acked
         if self._episode_segs is not None:
             self._episode_segs.add(seq)
-        self._offer(self.flow_id, seq, end - seq, self._wire_len)
+        self.link.offer(self.flow_id, seq, end - seq, self.config.wire_len)
 
     def _retransmit_front(self) -> None:
         una = self.snd_una   # below snd_max: a timeout, a third dupack or a partial ACK
@@ -336,7 +333,7 @@ class TcpSender:
                     self._restart_timer()
         else:
             self.dupack_count = 0
-            self._on_ack_growth(now)
+            self.controller.on_ack_growth(now)
             if ack < self.snd_max:   # _restart_timer inline: the per-ACK path
                 self._timer = self._reschedule(self._timer, now + self.rto_current_us)
             else:

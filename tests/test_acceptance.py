@@ -19,8 +19,8 @@ from cclab.config import LabConfig
 from cclab.engine import EventLoop, seconds
 from cclab.link import BottleneckLink
 from cclab.metrics import backlog_at, jain_fairness, representative_flow
-from cclab.runner import run_single, write_run_outputs
-from cclab.transport import TcpReceiver, TcpSender
+from cclab.runner import _FlowPipe, run_single, write_run_outputs
+from cclab.transport import TcpSender
 
 from conftest import VARIANTS, RecordingCubic, arq_penalty
 
@@ -48,7 +48,8 @@ def test_criterion_01_cubic_closed_form():
         config.transport.initial_ssthresh_segments, config.params_for("cubic"))
     sender = TcpSender(loop, 0, config.transport, controller, link)
     sender.app_stop_us = seconds(60)
-    link.register_sink(0, TcpReceiver().on_segment, sender.on_ack)
+    pipe = _FlowPipe(link, sender)
+    link.register_sink(0, pipe.on_packet)
     sender.start(0)
     loop.run_until(seconds(60))
     elapsed = time.perf_counter() - started

@@ -1,11 +1,10 @@
-"""The benchmark's per-layer tracer still finds every layer boundary it can.
+"""The benchmark's per-layer tracer still finds every layer boundary.
 
 `bench/tracer.py` wraps the functions through which one layer calls
 another.  If one of them is renamed, deleted or no longer called once
 per packet, the traced benchmark pass leaves out every self-time metric
 built on it.  This test loads the tracer by path, without changing it,
-and checks both: every target resolves but the three per-packet relays
-that the link's `offer` now does itself, and the packet path calls each
+and checks both: every target resolves, and the packet path calls each
 boundary as often as the counters say it should.
 """
 
@@ -18,10 +17,6 @@ from test_golden import ARQ_LOSS_LINK
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
-# the link delivers to TcpReceiver.on_segment and files its ACK in `offer`:
-# no `_deliver`, `send_reverse` or `_FlowPipe.on_packet` is left to wrap
-FOLDED_INTO_OFFER = {"link.deliver", "link.send_reverse", "receiver.pipe"}
-
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("cclab_bench_tracer", TRACER_PATH)
@@ -30,22 +25,21 @@ def _load_tracer():
     return module
 
 
-def test_tracer_misses_only_the_folded_relays_and_each_boundary_runs_per_packet():
-    # short transfers that finish well before the run ends: every packet
-    # that reaches the sink has landed and had its ACK dispatched by then
+def test_tracer_finds_every_target_and_each_boundary_runs_per_packet():
     config = load_config(text="[experiment]\nvariant = newreno\nflows = 2\nseed = 5\n"
-                              "duration_s = 20\nscenario = short:200\n" + ARQ_LOSS_LINK)
+                              "duration_s = 20\n" + ARQ_LOSS_LINK)
     tracer = _load_tracer().Tracer().install()
     try:
-        assert tracer.missing == FOLDED_INTO_OFFER
+        assert tracer.missing == set()
         result = runner.run_single(config, config.seed)
     finally:
         tracer.uninstall()
     calls = tracer.calls
-    assert result.link_dropped > 0          # ARQ abandoned some, so not every offer lands
-    assert result.link_delivered == result.link_offered - result.link_dropped
-    assert calls["receiver.on_segment"] == result.link_delivered
-    assert calls["sender.on_ack"] == result.link_delivered   # one ACK per packet sunk
+    assert result.link_delivered > 0
+    per_packet = [calls["link.deliver"], calls["receiver.pipe"],
+                  calls["receiver.on_segment"], calls["link.send_reverse"]]
+    assert len(set(per_packet)) == 1
+    assert per_packet[0] >= result.link_delivered
     assert calls["link.offer"] == result.link_offered
+    assert calls["sender.on_ack"] >= 1
     assert calls["sender.maybe_send"] >= 1
-    assert not FOLDED_INTO_OFFER & set(calls)

@@ -34,10 +34,6 @@ def offer(link, seq, flow_id=0, wire_len=1500):
     return link.offer(flow_id, seq, wire_len - 40, wire_len)
 
 
-def ignore(ack):
-    """An ACK target for a test that reads no ACK."""
-
-
 def ack_log(link, flow_ids=(0,)):
     """Register sinks that ACK every packet; returns the (fire time, flow, seq) log.
 
@@ -49,7 +45,8 @@ def ack_log(link, flow_ids=(0,)):
         log.append((loop.now, *packet))
 
     for fid in flow_ids:
-        link.register_sink(fid, lambda seq, payload_len, fid=fid: (fid, seq), on_ack)
+        link.register_sink(fid, lambda seq, payload_len, fid=fid:
+                           link.send_reverse(on_ack, (fid, seq)))
     return log
 
 
@@ -109,7 +106,7 @@ def test_service_hold_takes_the_draws_of_arq_error_count(p, max_retx, seed):
 def test_queue_accepts_at_capacity_minus_one_and_drops_at_capacity():
     loop = EventLoop()
     link = make_link(loop, record_backlog=True, queue_capacity=50)
-    link.register_sink(0, lambda seq, payload_len: None, ignore)
+    link.register_sink(0, lambda seq, payload_len: None)
     assert offer(link, 0)              # enters service, queue stays empty
     for i in range(1, 50):
         assert offer(link, i)          # backlog grows to 49
@@ -124,7 +121,7 @@ def test_queue_accepts_at_capacity_minus_one_and_drops_at_capacity():
 def test_capacity_one_link_accepts_when_idle():
     loop = EventLoop()
     link = make_link(loop, queue_capacity=1)
-    link.register_sink(0, lambda seq, payload_len: None, ignore)
+    link.register_sink(0, lambda seq, payload_len: None)
     assert offer(link, 0)
     assert link.dropped_tail == 0
 
@@ -133,12 +130,8 @@ def test_single_packet_delivery_time():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=100_000)
     seen, acks = [], []
-
-    def sink(seq, payload_len):
-        seen.append(loop.now)
-        return seq
-
-    link.register_sink(0, sink, lambda ack: acks.append(loop.now))
+    link.register_sink(0, lambda seq, payload_len: (
+        seen.append(loop.now), link.send_reverse(lambda ack: acks.append(loop.now), seq)))
     offer(link, 0)
     loop.run_until(seconds(1))
     # the sink runs as the link accepts the packet; the packet leaves the
@@ -182,7 +175,7 @@ def test_residual_loss_drops_after_budget_exhausted():
                      residual_loss_prob=1.0)
     link = BottleneckLink(loop, cfg, random.Random(3))
     seen = []
-    link.register_sink(0, lambda seq, payload_len: seen.append(seq), ignore)
+    link.register_sink(0, lambda seq, payload_len: seen.append(seq))
     for i in range(3):
         offer(link, i)
     loop.run_until(seconds(5))
@@ -196,7 +189,7 @@ def test_conservation_after_drain_with_random_errors():
     cfg = LinkConfig(queue_capacity=5, arq_frame_error_prob=0.3)
     link = BottleneckLink(loop, cfg, random.Random(11))
     delivered = []
-    link.register_sink(0, lambda seq, payload_len: delivered.append(seq), ignore)
+    link.register_sink(0, lambda seq, payload_len: delivered.append(seq))
     offered = 40
     for i in range(offered):
         loop.schedule(i * 1_000, lambda i=i: offer(link, i))
@@ -210,7 +203,7 @@ def test_conservation_after_drain_with_random_errors():
 def test_backlog_history_lookup():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, record_backlog=True)
-    link.register_sink(0, lambda seq, payload_len: None, ignore)
+    link.register_sink(0, lambda seq, payload_len: None)
     loop.schedule(0, lambda: [offer(link, i) for i in range(4)])
     loop.run_until(seconds(1))
     # at t=0 one packet is in service and three queue behind it
@@ -224,7 +217,7 @@ def test_backlog_history_lookup():
 def test_backlog_lookup_without_history_raises():
     loop = EventLoop()
     link = make_link(loop)
-    link.register_sink(0, lambda seq, payload_len: None, ignore)
+    link.register_sink(0, lambda seq, payload_len: None)
     loop.schedule(0, lambda: [offer(link, i) for i in range(4)])
     loop.run_until(seconds(1))
     with pytest.raises(ValueError, match="record_backlog"):
@@ -235,7 +228,8 @@ def test_reverse_channel_is_pure_delay():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=100_000)
     fired = []
-    link.register_sink(0, lambda seq, payload_len: 7, lambda ack: fired.append((loop.now, ack)))
+    link.register_sink(0, lambda seq, payload_len: link.send_reverse(
+        lambda ack: fired.append((loop.now, ack)), 7))
     loop.schedule(ms(1), lambda: offer(link, 0))
     loop.run_until(seconds(1))
     # the packet departs at 1 + 8 ms; its ACK also carries the forward
@@ -284,7 +278,7 @@ def test_an_offer_at_a_departure_queues_exactly_when_the_departure_sorts_later()
     for offer_filed_first, dropped in ((True, 1), (False, 0)):
         loop = EventLoop()
         link = make_link(loop, rate_bps=1_200_000_000, queue_capacity=1)   # 10 us a packet
-        link.register_sink(0, lambda seq, payload_len: None, ignore)
+        link.register_sink(0, lambda seq, payload_len: None)
         if offer_filed_first:
             loop.post(10, lambda seq: offer(link, seq), 2)
         offer(link, 0)            # served at once, departs at 10 us
@@ -301,7 +295,7 @@ class ReferenceLink:
 
     A service start takes the packet's ARQ draws and posts its completion;
     the completion frees the server, starts the next packet, and then runs
-    the sink, as the packet departs, and posts the sink's ACK from there.
+    the sink, as the packet departs; the sink's ACK is posted from there.
     """
 
     def __init__(self, loop, config, rng, record_backlog=True):
@@ -315,8 +309,8 @@ class ReferenceLink:
         self.landings = []
         self.backlog_history = ([0], [0])
 
-    def register_sink(self, flow_id, sink, ack_to):
-        self.sinks[flow_id] = (sink, ack_to)
+    def register_sink(self, flow_id, sink):
+        self.sinks[flow_id] = sink
         self.per_flow_drops.setdefault(flow_id, 0)
 
     @property
@@ -336,6 +330,9 @@ class ReferenceLink:
             self.queue.append(packet)
             self._record()
         return True
+
+    def send_reverse(self, fn, arg):
+        self.loop.post(self.loop.now + 2 * self.one_way_us, fn, arg)
 
     def quiescent_accounting_ok(self):
         accepted = self.offered - self.dropped_tail
@@ -370,8 +367,7 @@ class ReferenceLink:
         if packet is not None:
             self.landings.append(self.loop.now + self.one_way_us)
             flow_id, seq, payload_len, _ = packet
-            sink, ack_to = self.sinks[flow_id]
-            self.loop.post(self.loop.now + 2 * self.one_way_us, ack_to, sink(seq, payload_len))
+            self.sinks[flow_id](seq, payload_len)
 
 
 class _Driven:
@@ -405,11 +401,10 @@ class _Driven:
 
         def sink(fid, seq, payload_len):
             self.sunk.append((fid, seq))
-            return fid, seq
+            link.send_reverse(on_ack, (fid, seq))
 
         for fid in (0, 1):
-            link.register_sink(fid, lambda seq, payload_len, fid=fid: sink(fid, seq, payload_len),
-                               on_ack)
+            link.register_sink(fid, lambda seq, payload_len, fid=fid: sink(fid, seq, payload_len))
         for at, fid in initial:
             loop.post(at, send, fid)
 

@@ -20,8 +20,9 @@ from cclab.config import ScenarioSpec, load_config
 from cclab.engine import EventLoop, ms
 from cclab.link import BottleneckLink, LinkConfig
 from cclab.metrics import backlog_at
-from cclab.runner import TIMESERIES_COLUMNS, run_single, summary_dict, write_run_outputs
-from cclab.transport import TcpReceiver, TcpSender, TransportConfig
+from cclab.runner import (TIMESERIES_COLUMNS, _FlowPipe, run_single, summary_dict,
+                          write_run_outputs)
+from cclab.transport import TcpSender, TransportConfig
 
 
 def short_config(**experiment):
@@ -311,12 +312,10 @@ def test_ack_reaches_the_sender_one_propagation_rtt_after_serialization():
     ctrl = make_controller("newreno", 2, 44.0, config.mss)
     sender = TcpSender(loop, 0, config, ctrl, link, total_bytes=config.mss)
     acked_at = []
-
-    def on_ack(ack):
-        acked_at.append((loop.now, ack))
-        sender.on_ack(ack)
-
-    link.register_sink(0, TcpReceiver().on_segment, on_ack)
+    on_ack = sender.on_ack
+    # the pipe binds sender.on_ack as it is built
+    sender.on_ack = lambda ack: (acked_at.append((loop.now, ack)), on_ack(ack))
+    link.register_sink(0, _FlowPipe(link, sender).on_packet)
     sender.start(0)
     loop.run_until(ms(1000))
     # 1500 wire bytes at 1.5 Mbps serialize in 8 ms; the ACK then needs

@@ -508,8 +508,12 @@ def test_the_send_bound_offers_what_the_per_segment_rule_offers(
     sender.snd_una, sender.snd_nxt, sender.snd_max = una, nxt, top   # a timeout rewound nxt
     sender._inflation_segments = inflation
     expected = per_segment_offers(una, nxt, top, ctrl.cwnd_floor() + inflation, mss, budget)
+    sent, segments = sender.bytes_sent, sender.transmissions
     sender.maybe_send()
     assert link.offered == expected
+    # the derived counters count exactly what was offered
+    assert sender.bytes_sent - sent == sum(length for _, length in expected)
+    assert sender.transmissions - segments == len(expected)
     assert sender.snd_nxt == (expected[-1][0] + expected[-1][1] if expected else nxt)
     assert sender.snd_max == max(top, sender.snd_nxt)
 
@@ -656,7 +660,11 @@ def test_short_transfer_completes_and_reports():
         acks.append((loop.now, ack))
         sender.on_ack(ack)
 
-    link.register_sink(0, rcv.on_segment, on_ack)
+    def sink(seq, payload_len):
+        ack = rcv.on_segment(seq, payload_len)
+        link.send_reverse(on_ack, ack)
+
+    link.register_sink(0, sink)
     sender.start(0)
     loop.run_until(seconds(30))
     # done at the first ACK of the last byte, and only then
@@ -676,7 +684,11 @@ def test_clean_channel_run_keeps_sender_and_receiver_consistent():
     rcv = CountingReceiver()
     sender = TcpSender(loop, 0, cfg, ctrl, link)
 
-    link.register_sink(0, rcv.on_segment, sender.on_ack)
+    def sink(seq, payload_len):
+        ack = rcv.on_segment(seq, payload_len)
+        link.send_reverse(sender.on_ack, ack)
+
+    link.register_sink(0, sink)
     sender.start(0)
     sender.app_stop_us = seconds(8)   # stop before growth can overflow the queue
     loop.run_until(seconds(20))
