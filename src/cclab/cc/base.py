@@ -34,6 +34,8 @@ class Controller:
     computed from the window at the loss.
     """
 
+    __slots__ = ("cwnd", "ssthresh")
+
     ONE = SCALE   # one segment, in the window's units
 
     def __init__(self, initial_cwnd_segments: int, initial_ssthresh_segments: float):

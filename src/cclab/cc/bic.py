@@ -15,6 +15,10 @@ from .params import SCALE, BicParams, fp_from_segments
 
 
 class Bic(Controller):
+    __slots__ = ("params", "_s_max_fp", "_s_min_fp", "_low_window_fp", "_probe_start_fp",
+                 "epoch_valid", "cwnd_max_fp", "cwnd_min_fp", "max_probing",
+                 "_probe_gap_fp", "_round_left", "_round_target_fp", "_per_ack_fp")
+
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: BicParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)

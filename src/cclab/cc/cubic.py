@@ -17,6 +17,8 @@ from .params import CubicParams
 
 
 class Cubic(Controller):
+    __slots__ = ("params", "epoch_valid", "max_win", "k_seconds", "epoch_start_us", "_w_est")
+
     ONE = 1.0
 
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,

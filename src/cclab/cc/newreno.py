@@ -7,6 +7,8 @@ from .params import NewRenoParams
 
 
 class NewReno(Controller):
+    __slots__ = ("params",)
+
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: NewRenoParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)

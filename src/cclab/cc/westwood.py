@@ -15,6 +15,9 @@ from .params import WestwoodParams, fp_from_segments
 
 
 class WestwoodPlus(Controller):
+    __slots__ = ("params", "mss", "bwe_bytes_per_s", "rtt_min_us", "interval_us",
+                 "_interval_start_us", "_acked_in_interval")
+
     def __init__(self, initial_cwnd: int, initial_ssthresh: float, mss: int,
                  params: WestwoodParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh)

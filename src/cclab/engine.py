@@ -88,6 +88,8 @@ class EventLoop:
     that was due by `now` has run.
     """
 
+    __slots__ = ("now", "key", "_heap", "_lane", "_counter", "processed")
+
     def __init__(self) -> None:
         self.now: SimTime = 0
         self.key = 1 << _COUNTER_BITS

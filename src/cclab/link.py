@@ -21,11 +21,15 @@ halves, so a delivered packet costs one event.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from .engine import EventLoop, SimTime, US_PER_S
+
+# landing times kept before the landed prefix is dropped in one batch
+LANDING_BATCH = 4096
 
 
 @dataclass
@@ -73,10 +77,13 @@ class BottleneckLink:
     lists (times, queue lengths), which `metrics.backlog_at` reads.
     """
 
+    __slots__ = ("loop", "config", "rng", "_sinks", "offered", "dropped_tail",
+                 "_dropped_arq", "_per_flow_drops", "one_way_us", "_pending", "_start_key",
+                 "_ack_at", "_ack_key", "_landed", "_landings", "_history")
+
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
                  record_backlog: bool = False):
         self.loop = loop
-        self._file = loop.file   # bound once: send_reverse runs once per packet
         self.config = config
         self.rng = rng
         self._sinks: dict[int, Callable[[int, int], None]] = {}
@@ -93,7 +100,7 @@ class BottleneckLink:
         self._ack_at: SimTime = 0
         self._ack_key = 0
         self._landed = 0
-        self._flying: deque[SimTime] = deque()   # landing times, oldest first
+        self._landings: list[SimTime] = []   # landing times not yet dropped, oldest first
         self._history: tuple[list[SimTime], list[int]] | None = (
             ([0], [0]) if record_backlog else None)
 
@@ -109,7 +116,7 @@ class BottleneckLink:
     @property
     def delivered(self) -> int:
         """Packets that have reached the far end of the hop by now."""
-        return self._landed + sum(t <= self.loop.now for t in self._flying)
+        return self._landed + bisect_right(self._landings, self.loop.now)
 
     @property
     def dropped_arq(self) -> int:
@@ -180,7 +187,7 @@ class BottleneckLink:
         It fires both propagation halves after the packet departs; the
         channel never queues.
         """
-        self._file(self._ack_at, self._ack_key, fn, arg)
+        self.loop.file(self._ack_at, self._ack_key, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -225,11 +232,12 @@ class BottleneckLink:
 
     def _deliver(self, flow_id: int, seq: int, payload_len: int, departs: SimTime,
                  ack_key: int, now: SimTime) -> None:
-        flying = self._flying
-        while flying and flying[0] <= now:
-            flying.popleft()
-            self._landed += 1
-        flying.append(departs + self.one_way_us)
+        landings = self._landings
+        if len(landings) > LANDING_BATCH and landings[LANDING_BATCH] <= now:
+            landed = bisect_right(landings, now)   # a batch or more: drop them in one go
+            del landings[:landed]
+            self._landed += landed
+        landings.append(departs + self.one_way_us)
         self._ack_at = departs + 2 * self.one_way_us
         self._ack_key = ack_key
         self._sinks[flow_id](seq, payload_len)

@@ -57,15 +57,15 @@ class RunResult:
 class _FlowPipe:
     """Receiver side of one flow plus the ACK return path."""
 
+    __slots__ = ("receiver", "link", "_on_ack")
+
     def __init__(self, link: BottleneckLink, sender: TcpSender):
         self.receiver = TcpReceiver()
-        # the per-packet callees, bound once
-        self._on_segment = self.receiver.on_segment
-        self._send_reverse = link.send_reverse
-        self._on_ack = sender.on_ack
+        self.link = link
+        self._on_ack = sender.on_ack   # filed as each ACK's action
 
     def on_packet(self, seq: int, payload_len: int) -> None:
-        self._send_reverse(self._on_ack, self._on_segment(seq, payload_len))
+        self.link.send_reverse(self._on_ack, self.receiver.on_segment(seq, payload_len))
 
 
 def run_single(config: LabConfig, seed: int, run_index: int = 0,

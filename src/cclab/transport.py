@@ -85,6 +85,8 @@ class TcpReceiver:
     all above `rcv_nxt`.
     """
 
+    __slots__ = ("rcv_nxt", "_runs")
+
     def __init__(self) -> None:
         self.rcv_nxt = 0
         self._runs: list[tuple[int, int]] = []
@@ -115,6 +117,14 @@ class TcpReceiver:
 
 class TcpSender:
     """One flow's send side, driven entirely by ACK and timer events."""
+
+    __slots__ = ("loop", "flow_id", "config", "controller", "link", "total_bytes",
+                 "app_stop_us", "snd_una", "snd_nxt", "snd_max", "dupack_count",
+                 "in_recovery", "recovery_point", "_inflation_segments", "_partial_seen",
+                 "estimator", "rto_current_us", "_timer", "_probe_end", "_probe_at",
+                 "retransmissions", "_retx_bytes", "timeouts", "started_at", "done_at",
+                 "rtt_samples", "decreases", "retx_bursts", "_episode_segs",
+                 "_episode_point", "_on_ack_observed")
 
     def __init__(self, loop: EventLoop, flow_id: int, config: TransportConfig,
                  controller: Controller, link: BottleneckLink,
@@ -156,13 +166,11 @@ class TcpSender:
         self._episode_segs: Optional[set[int]] = None
         self._episode_point = 0
 
-        # per-ACK callees, bound once; a law that keeps Controller's no-op
-        # ACK hook is not called for it (a hook patched in is called)
-        self._reschedule = loop.reschedule
+        # a law that keeps Controller's no-op ACK hook is not called for it
+        # (a hook patched in is called)
         self._on_ack_observed = (
             None if type(controller).on_ack_observed is Controller.on_ack_observed
             else controller.on_ack_observed)
-        self._on_rtt_sample = controller.on_rtt_sample
 
     # introspection
 
@@ -243,7 +251,7 @@ class TcpSender:
             self._timer.cancel()
             self._timer = None
         else:
-            self._timer = self._reschedule(self._timer, self.loop.now + self.rto_current_us)
+            self._timer = self.loop.reschedule(self._timer, self.loop.now + self.rto_current_us)
 
     def _on_timer(self) -> None:
         self.timeouts += 1
@@ -313,7 +321,7 @@ class TcpSender:
                 self.rtt_samples.append(now, sample)
                 self.estimator.update(sample)
                 self.rto_current_us = self.estimator.rto_us()
-                self._on_rtt_sample(now, sample)
+                self.controller.on_rtt_sample(now, sample)
             self._probe_end = None
         if self._on_ack_observed is not None:
             self._on_ack_observed(now, newly, False)
@@ -335,7 +343,7 @@ class TcpSender:
             self.dupack_count = 0
             self.controller.on_ack_growth(now)
             if ack < self.snd_max:   # _restart_timer inline: the per-ACK path
-                self._timer = self._reschedule(self._timer, now + self.rto_current_us)
+                self._timer = self.loop.reschedule(self._timer, now + self.rto_current_us)
             else:
                 self._restart_timer()
         if self._episode_segs is not None and ack >= self._episode_point:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cclab.engine import EventLoop, ms, seconds
-from cclab.link import BottleneckLink, LinkConfig, arq_error_count
+from cclab.link import LANDING_BATCH, BottleneckLink, LinkConfig, arq_error_count
 from cclab.metrics import backlog_at
 from conftest import arq_penalty
 
@@ -250,6 +250,30 @@ def test_delivered_counts_a_packet_only_once_it_lands():
     assert link.delivered == 0
     loop.run_until(ms(58))
     assert link.delivered == 1
+    assert link.quiescent_accounting_ok()
+
+
+def test_delivered_counts_every_landing_across_batch_prunes():
+    # 100 Mbps serializes a packet in 120 us; an offer every 130 us with
+    # ARQ stalls lands several batches of packets in 3 s
+    loop = EventLoop()
+    cfg = LinkConfig(rate_bps=100_000_000, prop_rtt_us=100_000, arq_frame_error_prob=0.02,
+                     arq_retx_delay_us=300)
+    link = BottleneckLink(loop, cfg, random.Random(5))
+    acks = ack_log(link)
+    for i in range(3_000_000 // 130):
+        loop.post(i * 130, lambda seq: offer(link, seq), i)
+    seen = []
+    for t in range(0, seconds(3.2), 23_017):
+        loop.post(t, lambda at: seen.append((at, link.delivered)), t)
+    loop.run_until(seconds(4))
+    # an ACK fires one propagation RTT after its departure, half of it after the landing
+    landings = [at - link.one_way_us for at, _, _ in acks]
+    assert len(landings) > 2 * LANDING_BATCH and link.dropped_tail == 0
+    assert link._landed >= LANDING_BATCH   # the landed prefix was dropped in batches
+    for at, delivered in seen:
+        assert delivered == sum(landed <= at for landed in landings), at
+    assert link.delivered == len(landings)
     assert link.quiescent_accounting_ok()
 
 

@@ -310,11 +310,14 @@ def test_ack_reaches_the_sender_one_propagation_rtt_after_serialization():
     link = BottleneckLink(loop, LinkConfig(arq_frame_error_prob=0.0), random.Random(1))
     config = TransportConfig()
     ctrl = make_controller("newreno", 2, 44.0, config.mss)
-    sender = TcpSender(loop, 0, config, ctrl, link, total_bytes=config.mss)
     acked_at = []
-    on_ack = sender.on_ack
-    # the pipe binds sender.on_ack as it is built
-    sender.on_ack = lambda ack: (acked_at.append((loop.now, ack)), on_ack(ack))
+
+    class AckLog(TcpSender):
+        def on_ack(self, ack):
+            acked_at.append((self.loop.now, ack))
+            super().on_ack(ack)
+
+    sender = AckLog(loop, 0, config, ctrl, link, total_bytes=config.mss)
     link.register_sink(0, _FlowPipe(link, sender).on_packet)
     sender.start(0)
     loop.run_until(ms(1000))
