@@ -28,22 +28,27 @@ class Controller:
                     cwnd = one segment
 
     Slow start, that loss response and its floor of one segment are RFC
-    5681's, shared by every law and stated here once.  A law gives two
-    hooks: `_avoidance_growth`, its growth past ssthresh, and
-    `_loss_window`, the window it keeps after a congestion episode,
-    computed from the window at the loss.
+    5681's, shared by every law and stated here once.  So is building a
+    law: `params` defaults to its `PARAMS()`, and both windows pass
+    through its `_window_from_segments`.  A law gives two hooks:
+    `_avoidance_growth`, its growth past ssthresh, and `_loss_window`,
+    the window it keeps after a congestion episode, by default Reno's
+    kept fraction `params.b` of the window at the loss.
     """
 
-    __slots__ = ("cwnd", "ssthresh")
+    __slots__ = ("cwnd", "ssthresh", "params")
 
     ONE = SCALE   # one segment, in the window's units
 
-    def __init__(self, initial_cwnd_segments: int, initial_ssthresh_segments: float):
-        self.cwnd = initial_cwnd_segments * SCALE
-        if initial_ssthresh_segments == math.inf:
-            self.ssthresh = math.inf
-        else:
-            self.ssthresh = fp_from_segments(initial_ssthresh_segments)
+    def __init__(self, initial_cwnd: int, initial_ssthresh: float, params=None):
+        self.params = params or self.PARAMS()
+        self.cwnd = self._window_from_segments(initial_cwnd)
+        self.ssthresh = self._window_from_segments(initial_ssthresh)
+
+    @staticmethod
+    def _window_from_segments(segments: float) -> int | float:
+        # an unbounded ssthresh, math.inf, has no fixed-point value: keep it
+        return segments if segments == math.inf else fp_from_segments(segments)
 
     # representation
 
@@ -83,5 +88,9 @@ class Controller:
         # classic AIMD probe: one segment per window of ACKs
         self.cwnd += SCALE * SCALE // self.cwnd
 
-    def _loss_window(self) -> float:
-        raise NotImplementedError
+    def _loss_window(self) -> int:
+        return self._kept_fraction(self.params.b)
+
+    def _kept_fraction(self, b: tuple[int, int]) -> int:
+        num, den = b
+        return self.cwnd * num // den

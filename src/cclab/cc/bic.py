@@ -15,14 +15,15 @@ from .params import SCALE, BicParams, fp_from_segments
 
 
 class Bic(Controller):
-    __slots__ = ("params", "_s_max_fp", "_s_min_fp", "_low_window_fp", "_probe_start_fp",
+    __slots__ = ("_s_max_fp", "_s_min_fp", "_low_window_fp", "_probe_start_fp",
                  "epoch_valid", "cwnd_max_fp", "cwnd_min_fp", "max_probing",
                  "_probe_gap_fp", "_round_left", "_round_target_fp", "_per_ack_fp")
 
+    PARAMS = BicParams
+
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: BicParams | None = None):
-        super().__init__(initial_cwnd, initial_ssthresh)
-        self.params = params or BicParams()
+        super().__init__(initial_cwnd, initial_ssthresh, params)
         p = self.params
         self._s_max_fp = fp_from_segments(p.s_max)
         self._s_min_fp = fp_from_segments(p.s_min)
@@ -76,18 +77,12 @@ class Bic(Controller):
             self._probe_gap_fp *= 2
         self.cwnd_min_fp = self.cwnd  # the reached window becomes the new minimum
 
-    def _reset_round(self) -> None:
-        self._round_left = 0
-        self._round_target_fp = 0
-        self._per_ack_fp = 0
-
     # decreases
 
     def _loss_window(self) -> int:
-        num, den = self.params.b
         if self.cwnd < self._low_window_fp:
             return self.cwnd // 2
-        return self.cwnd * num // den
+        return super()._loss_window()
 
     def on_3dupack(self, now_us: int) -> None:
         num, den = self.params.b
@@ -102,15 +97,12 @@ class Bic(Controller):
         self.cwnd_min_fp = self.cwnd
         self.max_probing = False
         self.epoch_valid = True
-        self._reset_round()
+        self._round_left = 0   # _begin_round sets the target and the step
 
     def on_timeout(self, now_us: int) -> None:
         # an RTO invalidates the search interval: the capacity estimate the
         # epoch encoded predates the stall, so probe afresh like NewReno
-        # until the next fast retransmit seeds a new (min, max) pair
+        # until the next fast retransmit seeds a new (min, max) pair; no
+        # one reads the old pair meanwhile, and on_3dupack rewrites it
         super().on_timeout(now_us)
-        self.cwnd_max_fp = 0
-        self.cwnd_min_fp = 0
-        self.max_probing = False
         self.epoch_valid = False
-        self._reset_round()

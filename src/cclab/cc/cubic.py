@@ -5,8 +5,9 @@ last reduction, with K chosen so the curve starts from the post-loss
 window and crosses w_max with zero slope at t = K.  An optional AIMD
 shadow window keeps growth at least as fast as a plain TCP flow would
 manage (the TCP-friendly region).  The window is a float number of
-segments (`ONE = 1.0`), the controller's only representation of it;
-slow start, the loss response and the read-outs are `Controller`'s.
+segments (`ONE = 1.0`, and `float` converts the initial windows), the
+controller's only representation of it; construction, slow start, the
+loss response and the read-outs are `Controller`'s.
 """
 
 from __future__ import annotations
@@ -17,16 +18,15 @@ from .params import CubicParams
 
 
 class Cubic(Controller):
-    __slots__ = ("params", "epoch_valid", "max_win", "k_seconds", "epoch_start_us", "_w_est")
+    __slots__ = ("epoch_valid", "max_win", "k_seconds", "epoch_start_us", "_w_est")
 
     ONE = 1.0
+    PARAMS = CubicParams
+    _window_from_segments = float
 
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: CubicParams | None = None):
-        # no super().__init__(): the float window replaces the fixed-point one
-        self.params = params or CubicParams()
-        self.cwnd = float(initial_cwnd)
-        self.ssthresh = float(initial_ssthresh)
+        super().__init__(initial_cwnd, initial_ssthresh, params)
         self.epoch_valid = False
         self.max_win = 0.0
         self.k_seconds = 0.0
@@ -80,9 +80,7 @@ class Cubic(Controller):
     def on_timeout(self, now_us: int) -> None:
         # an RTO discards the epoch: its curve aims at a stale maximum, and
         # the convex tail beyond it would slam the link.  Grow AIMD-style
-        # until the next fast retransmit anchors a fresh curve.
+        # until the next fast retransmit anchors a fresh curve; nothing
+        # reads the old one meanwhile, and on_3dupack rewrites it.
         super().on_timeout(now_us)
         self.epoch_valid = False
-        self.max_win = 0.0
-        self.k_seconds = 0.0
-        self._w_est = self.ssthresh

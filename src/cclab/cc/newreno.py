@@ -1,4 +1,4 @@
-"""NewReno-style AIMD: halve on congestion, probe one segment per RTT."""
+"""NewReno-style AIMD, all `Controller`'s: probe one segment per RTT, keep b on loss."""
 
 from __future__ import annotations
 
@@ -7,13 +7,6 @@ from .params import NewRenoParams
 
 
 class NewReno(Controller):
-    __slots__ = ("params",)
+    __slots__ = ()
 
-    def __init__(self, initial_cwnd: int, initial_ssthresh: float,
-                 params: NewRenoParams | None = None):
-        super().__init__(initial_cwnd, initial_ssthresh)
-        self.params = params or NewRenoParams()
-
-    def _loss_window(self) -> int:
-        num, den = self.params.b
-        return self.cwnd * num // den
+    PARAMS = NewRenoParams

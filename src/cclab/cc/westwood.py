@@ -15,13 +15,14 @@ from .params import WestwoodParams, fp_from_segments
 
 
 class WestwoodPlus(Controller):
-    __slots__ = ("params", "mss", "bwe_bytes_per_s", "rtt_min_us", "interval_us",
+    __slots__ = ("mss", "bwe_bytes_per_s", "rtt_min_us", "interval_us",
                  "_interval_start_us", "_acked_in_interval")
+
+    PARAMS = WestwoodParams
 
     def __init__(self, initial_cwnd: int, initial_ssthresh: float, mss: int,
                  params: WestwoodParams | None = None):
-        super().__init__(initial_cwnd, initial_ssthresh)
-        self.params = params or WestwoodParams()
+        super().__init__(initial_cwnd, initial_ssthresh, params)
         self.mss = mss
         self.bwe_bytes_per_s: float | None = None
         self.rtt_min_us: int | None = None
@@ -65,8 +66,7 @@ class WestwoodPlus(Controller):
     def _loss_window(self) -> int:
         if self.bwe_bytes_per_s is None or self.rtt_min_us is None:
             # no bandwidth sample yet: fall back to a fixed factor
-            num, den = self.params.fallback_b
-            return self.cwnd * num // den
+            return self._kept_fraction(self.params.fallback_b)
         # BWE * RTT_min is kept as computed, even above the pre-loss window
         segments = self.bwe_bytes_per_s * (self.rtt_min_us / US_PER_S) / self.mss
         return fp_from_segments(segments)

@@ -175,7 +175,19 @@ def test_timeout_collapses_and_invalidates_the_epoch():
     assert ctrl.cwnd_segments() == 1.0
     assert ctrl.ssthresh_segments() == 80.0
     assert not ctrl.epoch_valid
-    assert ctrl.cwnd_max_fp == 0
+    # the old (80, 100) pair is forgotten: regrown past ssthresh to below
+    # the old maximum, the next loss seeds the epoch a fresh controller
+    # would, with no deflated maximum, and the search runs the same
+    while ctrl.cwnd < 85 * SCALE:
+        ctrl.on_ack_growth(0)
+    fresh = Bic(2, 1.0, BicParams())
+    fresh.cwnd, fresh.ssthresh = ctrl.cwnd, ctrl.ssthresh
+    ctrl.on_3dupack(0)
+    fresh.on_3dupack(0)
+    state = lambda c: (c.cwnd, c.ssthresh, c.cwnd_max_fp, c.cwnd_min_fp, c.epoch_valid)
+    assert state(ctrl) == state(fresh)
+    assert ctrl.cwnd_max_fp >= 85 * SCALE
+    assert [advance_round(ctrl) for _ in range(4)] == [advance_round(fresh) for _ in range(4)]
 
 
 def test_rounds_to_converge_scale_logarithmically():

@@ -144,7 +144,25 @@ def test_timeout_collapses_to_one_and_discards_the_curve():
     assert ctrl.cwnd_segments() == 1.0
     assert ctrl.ssthresh_segments() == pytest.approx(64.0)
     assert not ctrl.epoch_valid
-    assert ctrl.max_win == 0.0
+    # the old curve is forgotten: regrown past ssthresh to below its
+    # maximum, the next loss anchors the curve a fresh controller would,
+    # with no deflated maximum, and growth follows it the same
+    now_us = 2_000_000
+    while ctrl.cwnd < 70.0:
+        now_us += 10_000
+        ctrl.on_ack_growth(now_us)
+    fresh = Cubic(2, 1.0, CubicParams())
+    fresh.cwnd, fresh.ssthresh = ctrl.cwnd, ctrl.ssthresh
+    ctrl.on_3dupack(now_us)
+    fresh.on_3dupack(now_us)
+    state = lambda c: (c.cwnd, c.ssthresh, c.max_win, c.k_seconds, c.epoch_start_us,
+                       c.epoch_valid)
+    assert state(ctrl) == state(fresh)
+    assert ctrl.max_win >= 70.0
+    for t_us in range(now_us, now_us + 5_000_000, 100_000):
+        ctrl.on_ack_growth(t_us)
+        fresh.on_ack_growth(t_us)
+        assert ctrl.cwnd == fresh.cwnd
 
 
 def test_growth_without_an_epoch_is_plain_aimd():

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import shutil
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -36,9 +37,15 @@ def test_full_list_holds_every_row_for_every_variant():
     assert len(POINTS) == 2
 
 
-def test_two_copies_of_one_tree_compare_equal(tmp_path):
+def test_two_copies_of_one_tree_compare_equal(tmp_path, capsys):
     ok, lines = run_sweep((copy_tree(tmp_path, "a"), copy_tree(tmp_path, "b")), POINTS)
     assert ok
+    # the summary gives both trees' src/ size, equal here
+    summary = re.search(r"^src/ lines: (\d+) base, (\d+) tree \(\+0\)$",
+                        capsys.readouterr().err, re.MULTILINE)
+    assert summary and summary[1] == summary[2]
+    assert int(summary[1]) == sum(path.read_bytes().count(b"\n")
+                                  for path in (ROOT / "src").rglob("*.py"))
     assert [line["point"] for line in lines] == [name for name, _ in POINTS]
     for line in lines:
         assert line["outputs_equal"] and line["processed_equal"]

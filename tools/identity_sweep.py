@@ -24,7 +24,9 @@ compares the tree holding this script with commit REV, whose `src/` is
 extracted with `git archive` into a temporary directory and removed
 afterwards.  `--quick` takes the first seed of each row.  The sweep
 prints one JSON line per point, a summary on stderr, and exits 1 if any
-output differs.
+output differs.  The summary also gives each tree's `src/` size, in
+lines of Python, so a change that keeps every output shows what it
+added or removed.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -199,6 +202,11 @@ def _compare(name: str, base: dict, tree: dict) -> dict:
     return line
 
 
+def src_lines(src: str) -> int:
+    """Lines in the `.py` files under `src`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(src).rglob("*.py"))
+
+
 def sweep(trees: tuple[str, str], point_list: list[tuple[str, str]], matrix: bool = True,
           emit=print) -> bool:
     """Run every point in (base, tree); emit one JSON line each.  True if all equal.
@@ -233,6 +241,9 @@ def sweep(trees: tuple[str, str], point_list: list[tuple[str, str]], matrix: boo
     processed = sum(line.get("processed_equal", False) for line in lines)
     print(f"{equal}/{len(lines)} points with equal outputs, "
           f"{processed}/{len(point_list)} with equal EventLoop.processed", file=sys.stderr)
+    base_lines, tree_lines = map(src_lines, srcs)
+    print(f"src/ lines: {base_lines} base, {tree_lines} tree ({tree_lines - base_lines:+d})",
+          file=sys.stderr)
     return equal == len(lines)
 
 
