@@ -94,3 +94,31 @@ class Controller:
     def _kept_fraction(self, b: tuple[int, int]) -> int:
         num, den = b
         return self.cwnd * num // den
+
+
+class EpochLaw(Controller):
+    """A law whose epoch starts at each fast retransmit: BIC and CUBIC.
+
+    With fast convergence, a loss below the last maximum (`_epoch_max`)
+    sets the next one to (1 + kept)/2 of the window at the loss (`_deflated`),
+    so a flow losing ground releases share; `_start_epoch` sets the rest.
+    A timeout ends the epoch, whose maximum predates the stall: the law grows
+    like Reno until the next fast retransmit, and nothing reads the old epoch.
+    """
+
+    __slots__ = ("epoch_valid",)
+
+    def __init__(self, initial_cwnd: int, initial_ssthresh: float, params=None):
+        super().__init__(initial_cwnd, initial_ssthresh, params)
+        self.epoch_valid = False
+
+    def on_3dupack(self, now_us: int) -> None:
+        pre = self.cwnd
+        converging = self.params.fast_convergence and self.epoch_valid and pre < self._epoch_max()
+        super().on_3dupack(now_us)
+        self._start_epoch(now_us, self._deflated(pre) if converging else pre)
+        self.epoch_valid = True
+
+    def on_timeout(self, now_us: int) -> None:
+        super().on_timeout(now_us)
+        self.epoch_valid = False

@@ -5,18 +5,19 @@ the pre-loss maximum: jump to the midpoint when it is near, move by
 S_max when it is far, and declare convergence once the step would fall
 under S_min.  Past the old maximum the search turns around (max
 probing): first a small step, then doubling, then linear at S_max.
-Below a low-window threshold the variant degrades to plain AIMD.
+Below a low-window threshold the variant degrades to plain AIMD.  Each
+search is an `EpochLaw` epoch: fast convergence and timeouts are there.
 """
 
 from __future__ import annotations
 
-from .base import Controller
+from .base import EpochLaw
 from .params import SCALE, BicParams, fp_from_segments
 
 
-class Bic(Controller):
+class Bic(EpochLaw):
     __slots__ = ("_s_max_fp", "_s_min_fp", "_low_window_fp", "_probe_start_fp",
-                 "epoch_valid", "cwnd_max_fp", "cwnd_min_fp", "max_probing",
+                 "cwnd_max_fp", "cwnd_min_fp", "max_probing",
                  "_probe_gap_fp", "_round_left", "_round_target_fp", "_per_ack_fp")
 
     PARAMS = BicParams
@@ -29,14 +30,11 @@ class Bic(Controller):
         self._s_min_fp = fp_from_segments(p.s_min)
         self._low_window_fp = fp_from_segments(p.low_window)
         self._probe_start_fp = fp_from_segments(p.probe_start)
-        self.epoch_valid = False
         self.cwnd_max_fp = 0
         self.cwnd_min_fp = 0
         self.max_probing = False
         self._probe_gap_fp = self._probe_start_fp
-        self._round_left = 0
-        self._round_target_fp = 0
-        self._per_ack_fp = 0
+        self._round_left = 0   # _begin_round sets the target and the step
 
     # growth
 
@@ -81,28 +79,18 @@ class Bic(Controller):
 
     def _loss_window(self) -> int:
         if self.cwnd < self._low_window_fp:
-            return self.cwnd // 2
+            return self._kept_fraction((1, 2))
         return super()._loss_window()
 
-    def on_3dupack(self, now_us: int) -> None:
+    def _epoch_max(self) -> int:
+        return self.cwnd_max_fp
+
+    def _deflated(self, pre: int) -> int:
         num, den = self.params.b
-        pre = self.cwnd
-        super().on_3dupack(now_us)
-        if self.params.fast_convergence and self.epoch_valid and pre < self.cwnd_max_fp:
-            # losing ground to a competitor: remember a deflated maximum
-            # so the search tops out early and releases share
-            self.cwnd_max_fp = pre * (num + den) // (2 * den)
-        else:
-            self.cwnd_max_fp = pre   # when probing, the reached window is the new max
+        return pre * (num + den) // (2 * den)
+
+    def _start_epoch(self, now_us: int, max_fp: int) -> None:
+        self.cwnd_max_fp = max_fp   # when probing, the reached window is the new max
         self.cwnd_min_fp = self.cwnd
         self.max_probing = False
-        self.epoch_valid = True
-        self._round_left = 0   # _begin_round sets the target and the step
-
-    def on_timeout(self, now_us: int) -> None:
-        # an RTO invalidates the search interval: the capacity estimate the
-        # epoch encoded predates the stall, so probe afresh like NewReno
-        # until the next fast retransmit seeds a new (min, max) pair; no
-        # one reads the old pair meanwhile, and on_3dupack rewrites it
-        super().on_timeout(now_us)
-        self.epoch_valid = False
+        self._round_left = 0

@@ -7,18 +7,19 @@ shadow window keeps growth at least as fast as a plain TCP flow would
 manage (the TCP-friendly region).  The window is a float number of
 segments (`ONE = 1.0`, and `float` converts the initial windows), the
 controller's only representation of it; construction, slow start, the
-loss response and the read-outs are `Controller`'s.
+loss response and the read-outs are `Controller`'s.  Each curve is an
+`EpochLaw` epoch: fast convergence and timeouts are there.
 """
 
 from __future__ import annotations
 
 from ..engine import US_PER_S
-from .base import Controller
+from .base import EpochLaw
 from .params import CubicParams
 
 
-class Cubic(Controller):
-    __slots__ = ("epoch_valid", "max_win", "k_seconds", "epoch_start_us", "_w_est")
+class Cubic(EpochLaw):
+    __slots__ = ("max_win", "k_seconds", "epoch_start_us", "_w_est")
 
     ONE = 1.0
     PARAMS = CubicParams
@@ -27,11 +28,9 @@ class Cubic(Controller):
     def __init__(self, initial_cwnd: int, initial_ssthresh: float,
                  params: CubicParams | None = None):
         super().__init__(initial_cwnd, initial_ssthresh, params)
-        self.epoch_valid = False
         self.max_win = 0.0
         self.k_seconds = 0.0
         self.epoch_start_us = 0
-        self._w_est = 0.0
 
     def cwnd_floor(self) -> int:
         return int(self.cwnd)
@@ -55,32 +54,17 @@ class Cubic(Controller):
         if target > self.cwnd:
             self.cwnd = target
 
-    def _start_epoch(self, now_us: int, pre_loss: float) -> None:
-        p = self.params
-        self.max_win = pre_loss
-        self.k_seconds = (self.max_win * p.b / p.c) ** (1.0 / 3.0)
-        self.epoch_start_us = now_us
-        self.epoch_valid = True
-
     def _loss_window(self) -> float:
         return (1.0 - self.params.b) * self.cwnd
 
-    def on_3dupack(self, now_us: int) -> None:
-        p = self.params
-        pre = self.cwnd
-        if p.fast_convergence and self.epoch_valid and pre < self.max_win:
-            # losing ground to a competitor: aim the new curve below the
-            # old ceiling so the plateau releases share
-            self._start_epoch(now_us, pre * (2.0 - p.b) / 2.0)
-        else:
-            self._start_epoch(now_us, pre)
-        super().on_3dupack(now_us)
-        self._w_est = self.cwnd
+    def _epoch_max(self) -> float:
+        return self.max_win
 
-    def on_timeout(self, now_us: int) -> None:
-        # an RTO discards the epoch: its curve aims at a stale maximum, and
-        # the convex tail beyond it would slam the link.  Grow AIMD-style
-        # until the next fast retransmit anchors a fresh curve; nothing
-        # reads the old one meanwhile, and on_3dupack rewrites it.
-        super().on_timeout(now_us)
-        self.epoch_valid = False
+    def _deflated(self, pre: float) -> float:
+        return pre * (2.0 - self.params.b) / 2.0
+
+    def _start_epoch(self, now_us: int, max_win: float) -> None:
+        self.max_win = max_win
+        self.k_seconds = (max_win * self.params.b / self.params.c) ** (1.0 / 3.0)
+        self.epoch_start_us = now_us
+        self._w_est = self.cwnd   # the shadow AIMD window starts from the decrease

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 from .config import LabConfig
 from .metrics import empirical_cdf, representative_flow
-from .runner import RunResult, run_single
+from .runner import RunResult, run_single, write_text
 
 MATRIX_SCHEMA = "cclab-matrix-v1"
 
@@ -135,7 +136,6 @@ def render_table(cells: list[CellResult], metric: str, scenario_tag: str,
 
 def write_matrix_outputs(out_dir: str, config: LabConfig,
                          cells: list[CellResult]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     tables_dir = os.path.join(out_dir, "tables")
     cdf_dir = os.path.join(out_dir, "cdf")
     os.makedirs(tables_dir, exist_ok=True)
@@ -145,9 +145,7 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
         for metric in TABLE_METRICS:
             text = render_table(cells, metric, tag, config.matrix_variants,
                                 config.matrix_flows)
-            name = f"{tag}_{metric}.csv"
-            with open(os.path.join(tables_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_text(os.path.join(tables_dir, f"{tag}_{metric}.csv"), (text,))
 
     for cell in cells:
         if not cell.ok:
@@ -157,10 +155,9 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
             continue
         points = empirical_cdf(samples)
         name = f"{cell.scenario_tag}_f{cell.flows}_{cell.variant.replace('+', 'plus')}_rtt_ms.csv"
-        with open(os.path.join(cdf_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("rtt_ms,fraction\n")
-            for value, fraction in points:
-                fh.write(f"{value:.3f},{fraction:.6f}\n")
+        write_text(os.path.join(cdf_dir, name),
+                   chain(("rtt_ms,fraction\n",),
+                         (f"{value:.3f},{fraction:.6f}\n" for value, fraction in points)))
 
     summary = {
         "schema": MATRIX_SCHEMA,
@@ -183,6 +180,5 @@ def write_matrix_outputs(out_dir: str, config: LabConfig,
             for c in cells
         ],
     }
-    with open(os.path.join(out_dir, "matrix_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "matrix_summary.json"),
+               (json.dumps(summary, indent=2), "\n"))

@@ -13,6 +13,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .cc import make_controller
 from .config import LabConfig, ScenarioSpec
@@ -180,6 +181,12 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
 
 # output writers
 
+def write_text(path: str, parts) -> None:
+    """Write `parts` to `path`: every output file is UTF-8 with "\\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(parts)
+
+
 # one row per TIMESERIES_COLUMNS, with the run's variant put in by
 # `format`; the two window columns print with 6 decimals, and an
 # infinite ssthresh as "inf"
@@ -187,11 +194,9 @@ _TIMESERIES_ROW = "%s,%s,{},%.6f,%.6f,%s,%s,%s,%s,%s\n"
 
 
 def write_timeseries_csv(path: str, result: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {TIMESERIES_SCHEMA}\n")
-        fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        row = _TIMESERIES_ROW.format(result.variant)
-        fh.writelines(row % fields for fields in result.timeseries)
+    row = _TIMESERIES_ROW.format(result.variant)
+    write_text(path, chain((f"# {TIMESERIES_SCHEMA}\n", ",".join(TIMESERIES_COLUMNS) + "\n"),
+                           (row % fields for fields in result.timeseries)))
 
 
 # the counters of a summary.json flow row, in the order they are written
@@ -236,9 +241,7 @@ def summary_dict(config: LabConfig, result: RunResult) -> dict:
 
 
 def write_summary(path: str, config: LabConfig, result: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict(config, result), fh, indent=2)
-        fh.write("\n")
+    write_text(path, (json.dumps(summary_dict(config, result), indent=2), "\n"))
 
 
 def write_run_outputs(out_dir: str, config: LabConfig, result: RunResult) -> None:

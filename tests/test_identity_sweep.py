@@ -40,12 +40,15 @@ def test_full_list_holds_every_row_for_every_variant():
 def test_two_copies_of_one_tree_compare_equal(tmp_path, capsys):
     ok, lines = run_sweep((copy_tree(tmp_path, "a"), copy_tree(tmp_path, "b")), POINTS)
     assert ok
-    # the summary gives both trees' src/ size, equal here
-    summary = re.search(r"^src/ lines: (\d+) base, (\d+) tree \(\+0\)$",
+    # the summary gives both trees' src/ size, in raw and in code lines, equal here
+    summary = re.search(r"^src/ lines: (\d+) base, (\d+) tree \(\+0\); "
+                        r"code lines: (\d+) base, (\d+) tree \(\+0\)$",
                         capsys.readouterr().err, re.MULTILINE)
-    assert summary and summary[1] == summary[2]
+    assert summary and summary[1] == summary[2] and summary[3] == summary[4]
     assert int(summary[1]) == sum(path.read_bytes().count(b"\n")
                                   for path in (ROOT / "src").rglob("*.py"))
+    assert int(summary[3]) == identity_sweep.src_code_lines(str(ROOT / "src"))
+    assert int(summary[3]) < int(summary[1])
     assert [line["point"] for line in lines] == [name for name, _ in POINTS]
     for line in lines:
         assert line["outputs_equal"] and line["processed_equal"]
@@ -53,6 +56,20 @@ def test_two_copies_of_one_tree_compare_equal(tmp_path, capsys):
         assert len(line["sha256"]) == len(line["history_sha256"]) == \
             len(line["backlog_sha256"]) == 64
         assert line["link_delivered"] > 0
+
+
+def test_code_lines_leave_out_comments_docstrings_and_blank_lines():
+    text = ('"""Module docstring,\n\nover three lines."""\n'
+            "\n"
+            "# a comment\n"
+            "def f(x):   # a trailing comment\n"
+            "    '''Function docstring.'''\n"
+            "    s = '''a string that is code,\n"
+            "over two lines'''\n"
+            "\n"
+            "    return (x +\n"
+            "            1)\n")
+    assert identity_sweep.code_lines(text) == 5
 
 
 def test_one_patched_line_reports_a_mismatch(tmp_path):

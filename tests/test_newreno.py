@@ -95,6 +95,7 @@ def _in_state(law, cwnd_fp, ssthresh_fp, epoch, cwnd_max_fp, sample):
         ctrl.cwnd, ctrl.ssthresh = cwnd_fp / SCALE, ssthresh_fp / SCALE
         if epoch:
             ctrl._start_epoch(0, cwnd_max_fp / SCALE)
+        ctrl.epoch_valid = epoch
         return ctrl
     ctrl.cwnd, ctrl.ssthresh = cwnd_fp, ssthresh_fp
     if law == "bic":

@@ -25,14 +25,18 @@ extracted with `git archive` into a temporary directory and removed
 afterwards.  `--quick` takes the first seed of each row.  The sweep
 prints one JSON line per point, a summary on stderr, and exits 1 if any
 output differs.  The summary also gives each tree's `src/` size, in
-lines of Python, so a change that keeps every output shows what it
-added or removed.
+lines of Python and in code lines (non-blank lines outside comments and
+docstrings), so a change that keeps every output shows what it added or
+removed, and a change that only folds comments is not counted as less
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -40,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -207,6 +212,31 @@ def src_lines(src: str) -> int:
     return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(src).rglob("*.py"))
 
 
+# tokens that carry no code: comments, line ends and indentation
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines of `text` that hold a token of code, outside every docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(src: str) -> int:
+    """Code lines in the `.py` files under `src`."""
+    return sum(code_lines(path.read_text(encoding="utf-8"))
+               for path in pathlib.Path(src).rglob("*.py"))
+
+
 def sweep(trees: tuple[str, str], point_list: list[tuple[str, str]], matrix: bool = True,
           emit=print) -> bool:
     """Run every point in (base, tree); emit one JSON line each.  True if all equal.
@@ -242,7 +272,9 @@ def sweep(trees: tuple[str, str], point_list: list[tuple[str, str]], matrix: boo
     print(f"{equal}/{len(lines)} points with equal outputs, "
           f"{processed}/{len(point_list)} with equal EventLoop.processed", file=sys.stderr)
     base_lines, tree_lines = map(src_lines, srcs)
-    print(f"src/ lines: {base_lines} base, {tree_lines} tree ({tree_lines - base_lines:+d})",
+    base_code, tree_code = map(src_code_lines, srcs)
+    print(f"src/ lines: {base_lines} base, {tree_lines} tree ({tree_lines - base_lines:+d}); "
+          f"code lines: {base_code} base, {tree_code} tree ({tree_code - base_code:+d})",
           file=sys.stderr)
     return equal == len(lines)
 
