@@ -13,9 +13,10 @@ recursion: `D_k = max(A_k, D_{k-1}) + hold_k`.  A packet's ARQ draws,
 and so its hold and its fate, are taken when it is accepted, in
 acceptance order, so the link knows its departure at once and runs its
 sink there and then: the receiver sees each segment at acceptance, in
-delivery order.  The sink's ACK rides a delay-only reverse channel that
-never queues; it is filed for the departure plus both propagation
-halves, so a delivered packet costs one event.
+delivery order.  The sink returns its cumulative ACK, and the link
+files it for the flow's `ack_to` on a delay-only reverse channel that
+never queues: at the departure plus both propagation halves, so a
+delivered packet costs one event.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ class BottleneckLink:
 
     __slots__ = ("loop", "config", "rng", "_sinks", "offered", "dropped_tail",
                  "_dropped_arq", "_per_flow_drops", "one_way_us", "_pending", "_start_key",
-                 "_ack_at", "_ack_key", "_landed", "_landings", "_history")
+                 "_landed", "_landings", "_history")
 
     def __init__(self, loop: EventLoop, config: LinkConfig, rng: random.Random,
                  record_backlog: bool = False):
         self.loop = loop
         self.config = config
         self.rng = rng
-        self._sinks: dict[int, Callable[[int, int], None]] = {}
+        self._sinks: dict[int, tuple[Callable[[int, int], object], Callable]] = {}
         # counters
         self.offered = 0
         self.dropped_tail = 0
@@ -97,16 +98,15 @@ class BottleneckLink:
         # key of its departure, flow id if ARQ abandons it once served)
         self._pending: deque[tuple[SimTime, int, int | None]] = deque()
         self._start_key = 0      # the service-start key of a packet queued behind them
-        self._ack_at: SimTime = 0
-        self._ack_key = 0
         self._landed = 0
         self._landings: list[SimTime] = []   # landing times not yet dropped, oldest first
         self._history: tuple[list[SimTime], list[int]] | None = (
             ([0], [0]) if record_backlog else None)
 
-    def register_sink(self, flow_id: int, sink: Callable[[int, int], None]) -> None:
-        """Deliver flow_id's packets as sink(seq, payload_len)."""
-        self._sinks[flow_id] = sink
+    def register_sink(self, flow_id: int, sink: Callable[[int, int], object],
+                      ack_to: Callable[[object], None]) -> None:
+        """Deliver flow_id's packets as ack = sink(seq, payload_len), its ACKs as ack_to(ack)."""
+        self._sinks[flow_id] = (sink, ack_to)
         self._per_flow_drops.setdefault(flow_id, 0)
 
     def clear_sinks(self) -> None:
@@ -181,13 +181,11 @@ class BottleneckLink:
         self._deliver(flow_id, seq, payload_len, departs, key + 1, now)
         return True
 
-    def send_reverse(self, fn: Callable[[object], None], arg: object) -> None:
-        """From a sink: carry the ACK of the packet being delivered back as fn(arg).
-
-        It fires both propagation halves after the packet departs; the
-        channel never queues.
-        """
-        self.loop.file(self._ack_at, self._ack_key, fn, arg)
+    def send_reverse(self, fn: Callable[[object], None], arg: object, at: SimTime,
+                     key: int) -> None:
+        """Carry an ACK back as fn(arg) at `at`, under `key`; the channel never queues."""
+        # a call of its own while bench/tracer.py times it as a layer boundary
+        self.loop.file(at, key, fn, arg)
 
     def quiescent_accounting_ok(self) -> bool:
         """Conservation check, valid once the queue and pipe are empty."""
@@ -238,6 +236,5 @@ class BottleneckLink:
             del landings[:landed]
             self._landed += landed
         landings.append(departs + self.one_way_us)
-        self._ack_at = departs + 2 * self.one_way_us
-        self._ack_key = ack_key
-        self._sinks[flow_id](seq, payload_len)
+        sink, ack_to = self._sinks[flow_id]
+        self.send_reverse(ack_to, sink(seq, payload_len), departs + 2 * self.one_way_us, ack_key)

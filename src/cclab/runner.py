@@ -56,17 +56,15 @@ class RunResult:
 
 
 class _FlowPipe:
-    """Receiver side of one flow plus the ACK return path."""
+    """Receiver side of one flow: the link's sink, returning each packet's ACK."""
 
-    __slots__ = ("receiver", "link", "_on_ack")
+    __slots__ = ("receiver",)
 
-    def __init__(self, link: BottleneckLink, sender: TcpSender):
+    def __init__(self):
         self.receiver = TcpReceiver()
-        self.link = link
-        self._on_ack = sender.on_ack   # filed as each ACK's action
 
-    def on_packet(self, seq: int, payload_len: int) -> None:
-        self.link.send_reverse(self._on_ack, self.receiver.on_segment(seq, payload_len))
+    def on_packet(self, seq: int, payload_len: int) -> int:
+        return self.receiver.on_segment(seq, payload_len)
 
 
 def run_single(config: LabConfig, seed: int, run_index: int = 0,
@@ -99,8 +97,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
             config.params_for(variant))
         sender = TcpSender(loop, flow_id, config.transport, controller, link,
                            total_bytes=budget, app_stop_us=end_us)
-        pipe = _FlowPipe(link, sender)
-        link.register_sink(flow_id, pipe.on_packet)
+        link.register_sink(flow_id, _FlowPipe().on_packet, sender.on_ack)
         start_at = seconds(stagger_rng.uniform(0.0, config.stagger_s))
         sender.start(start_at)
         senders.append(sender)
@@ -124,9 +121,9 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
         loop.run_until(end_us)
     finally:
         # Break the run's reference cycles (pending events -> actions ->
-        # senders and link -> loop, link sinks <-> pipes) so that a finished
-        # run is freed as soon as it is dropped, not when the cyclic
-        # collector next gets to it.
+        # senders and link -> loop, link -> ACK targets -> senders -> link)
+        # so that a finished run is freed as soon as it is dropped, not
+        # when the cyclic collector next gets to it.
         loop.clear()
         link.clear_sinks()
 

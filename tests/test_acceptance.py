@@ -48,8 +48,7 @@ def test_criterion_01_cubic_closed_form():
         config.transport.initial_ssthresh_segments, config.params_for("cubic"))
     sender = TcpSender(loop, 0, config.transport, controller, link)
     sender.app_stop_us = seconds(60)
-    pipe = _FlowPipe(link, sender)
-    link.register_sink(0, pipe.on_packet)
+    link.register_sink(0, _FlowPipe().on_packet, sender.on_ack)
     sender.start(0)
     loop.run_until(seconds(60))
     elapsed = time.perf_counter() - started

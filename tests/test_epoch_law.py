@@ -42,8 +42,10 @@ def expected_max(law, pre, old_max, epoch_valid, b, fast_convergence):
     if law is bic:
         kept = Fraction(*b)
         return math.floor(pre * (1 + kept) / 2)
-    kept = 1.0 - b
-    return pre * (1.0 + kept) / 2.0
+    # 1 + kept is 2 - b, rounded once, as the law computes it: forming
+    # 1 - b first and adding 1 rounds twice and misses by an ulp for a few
+    # percent of b
+    return pre * (2.0 - b) / 2.0
 
 
 def new_max(ctrl):
@@ -74,6 +76,8 @@ def test_bic_starts_its_epoch_by_the_shared_rule(fast_convergence, pre, old_max,
 @example(pre=80.0, old_max=100.0, epoch_valid=True, b=0.2)
 @example(pre=80.0, old_max=100.0, epoch_valid=False, b=0.2)
 @example(pre=100.0, old_max=100.0, epoch_valid=True, b=0.2)
+# 1 + (1 - b) and 2 - b round apart here
+@example(pre=1.0, old_max=2.0, epoch_valid=True, b=0.20654153792180527)
 def test_cubic_starts_its_epoch_by_the_shared_rule(fast_convergence, pre, old_max, epoch_valid,
                                                    b):
     check_epoch_rule(cubic, pre, old_max, epoch_valid, b, fast_convergence)

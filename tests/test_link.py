@@ -34,6 +34,10 @@ def offer(link, seq, flow_id=0, wire_len=1500):
     return link.offer(flow_id, seq, wire_len - 40, wire_len)
 
 
+def ignore_ack(ack):
+    """The ACK target of a sink whose ACKs a test does not read."""
+
+
 def ack_log(link, flow_ids=(0,)):
     """Register sinks that ACK every packet; returns the (fire time, flow, seq) log.
 
@@ -45,8 +49,7 @@ def ack_log(link, flow_ids=(0,)):
         log.append((loop.now, *packet))
 
     for fid in flow_ids:
-        link.register_sink(fid, lambda seq, payload_len, fid=fid:
-                           link.send_reverse(on_ack, (fid, seq)))
+        link.register_sink(fid, lambda seq, payload_len, fid=fid: (fid, seq), on_ack)
     return log
 
 
@@ -106,7 +109,7 @@ def test_service_hold_takes_the_draws_of_arq_error_count(p, max_retx, seed):
 def test_queue_accepts_at_capacity_minus_one_and_drops_at_capacity():
     loop = EventLoop()
     link = make_link(loop, record_backlog=True, queue_capacity=50)
-    link.register_sink(0, lambda seq, payload_len: None)
+    link.register_sink(0, lambda seq, payload_len: None, ignore_ack)
     assert offer(link, 0)              # enters service, queue stays empty
     for i in range(1, 50):
         assert offer(link, i)          # backlog grows to 49
@@ -121,7 +124,7 @@ def test_queue_accepts_at_capacity_minus_one_and_drops_at_capacity():
 def test_capacity_one_link_accepts_when_idle():
     loop = EventLoop()
     link = make_link(loop, queue_capacity=1)
-    link.register_sink(0, lambda seq, payload_len: None)
+    link.register_sink(0, lambda seq, payload_len: None, ignore_ack)
     assert offer(link, 0)
     assert link.dropped_tail == 0
 
@@ -130,8 +133,12 @@ def test_single_packet_delivery_time():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=100_000)
     seen, acks = [], []
-    link.register_sink(0, lambda seq, payload_len: (
-        seen.append(loop.now), link.send_reverse(lambda ack: acks.append(loop.now), seq)))
+
+    def sink(seq, payload_len):
+        seen.append(loop.now)
+        return seq
+
+    link.register_sink(0, sink, lambda ack: acks.append(loop.now))
     offer(link, 0)
     loop.run_until(seconds(1))
     # the sink runs as the link accepts the packet; the packet leaves the
@@ -175,7 +182,7 @@ def test_residual_loss_drops_after_budget_exhausted():
                      residual_loss_prob=1.0)
     link = BottleneckLink(loop, cfg, random.Random(3))
     seen = []
-    link.register_sink(0, lambda seq, payload_len: seen.append(seq))
+    link.register_sink(0, lambda seq, payload_len: seen.append(seq), ignore_ack)
     for i in range(3):
         offer(link, i)
     loop.run_until(seconds(5))
@@ -189,7 +196,7 @@ def test_conservation_after_drain_with_random_errors():
     cfg = LinkConfig(queue_capacity=5, arq_frame_error_prob=0.3)
     link = BottleneckLink(loop, cfg, random.Random(11))
     delivered = []
-    link.register_sink(0, lambda seq, payload_len: delivered.append(seq))
+    link.register_sink(0, lambda seq, payload_len: delivered.append(seq), ignore_ack)
     offered = 40
     for i in range(offered):
         loop.schedule(i * 1_000, lambda i=i: offer(link, i))
@@ -203,7 +210,7 @@ def test_conservation_after_drain_with_random_errors():
 def test_backlog_history_lookup():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, record_backlog=True)
-    link.register_sink(0, lambda seq, payload_len: None)
+    link.register_sink(0, lambda seq, payload_len: None, ignore_ack)
     loop.schedule(0, lambda: [offer(link, i) for i in range(4)])
     loop.run_until(seconds(1))
     # at t=0 one packet is in service and three queue behind it
@@ -217,7 +224,7 @@ def test_backlog_history_lookup():
 def test_backlog_lookup_without_history_raises():
     loop = EventLoop()
     link = make_link(loop)
-    link.register_sink(0, lambda seq, payload_len: None)
+    link.register_sink(0, lambda seq, payload_len: None, ignore_ack)
     loop.schedule(0, lambda: [offer(link, i) for i in range(4)])
     loop.run_until(seconds(1))
     with pytest.raises(ValueError, match="record_backlog"):
@@ -228,13 +235,36 @@ def test_reverse_channel_is_pure_delay():
     loop = EventLoop()
     link = make_link(loop, rate_bps=1_500_000, prop_rtt_us=100_000)
     fired = []
-    link.register_sink(0, lambda seq, payload_len: link.send_reverse(
-        lambda ack: fired.append((loop.now, ack)), 7))
+    link.register_sink(0, lambda seq, payload_len: 7, lambda ack: fired.append((loop.now, ack)))
     loop.schedule(ms(1), lambda: offer(link, 0))
     loop.run_until(seconds(1))
     # the packet departs at 1 + 8 ms; its ACK also carries the forward
     # hop's one-way delay: 2 x 50 ms after the departure
     assert fired == [(ms(109), 7)]
+
+
+def test_a_sink_that_offers_before_it_returns_keeps_its_own_ack_time():
+    # Flow 0's sink offers a flow-1 packet before it returns its ACK.  The
+    # nested delivery files flow 1's ACK first; flow 0's is filed after it
+    # for an earlier time, so the engine takes it through its heap.
+    loop = EventLoop()
+    link = make_link(loop)
+    acks = []
+
+    def on_ack(packet):
+        acks.append((loop.now, *packet))
+
+    def reentrant(seq, payload_len):
+        offer(link, seq + 1, flow_id=1)
+        return 0, seq
+
+    link.register_sink(0, reentrant, on_ack)
+    link.register_sink(1, lambda seq, payload_len: (1, seq), on_ack)
+    offer(link, 0)
+    loop.run_until(seconds(1))
+    # packet 0 departs at 8 ms and packet 1 behind it at 16 ms; each ACK
+    # comes back 2 x 50 ms after its own packet's departure
+    assert acks == [(ms(108), 0, 0), (ms(116), 1, 1)]
 
 
 def test_delivered_counts_a_packet_only_once_it_lands():
@@ -302,7 +332,7 @@ def test_an_offer_at_a_departure_queues_exactly_when_the_departure_sorts_later()
     for offer_filed_first, dropped in ((True, 1), (False, 0)):
         loop = EventLoop()
         link = make_link(loop, rate_bps=1_200_000_000, queue_capacity=1)   # 10 us a packet
-        link.register_sink(0, lambda seq, payload_len: None)
+        link.register_sink(0, lambda seq, payload_len: None, ignore_ack)
         if offer_filed_first:
             loop.post(10, lambda seq: offer(link, seq), 2)
         offer(link, 0)            # served at once, departs at 10 us
@@ -319,7 +349,8 @@ class ReferenceLink:
 
     A service start takes the packet's ARQ draws and posts its completion;
     the completion frees the server, starts the next packet, and then runs
-    the sink, as the packet departs; the sink's ACK is posted from there.
+    the sink, as the packet departs; the sink's ACK is posted from there
+    for the flow's `ack_to`.
     """
 
     def __init__(self, loop, config, rng, record_backlog=True):
@@ -333,8 +364,8 @@ class ReferenceLink:
         self.landings = []
         self.backlog_history = ([0], [0])
 
-    def register_sink(self, flow_id, sink):
-        self.sinks[flow_id] = sink
+    def register_sink(self, flow_id, sink, ack_to):
+        self.sinks[flow_id] = (sink, ack_to)
         self.per_flow_drops.setdefault(flow_id, 0)
 
     @property
@@ -354,9 +385,6 @@ class ReferenceLink:
             self.queue.append(packet)
             self._record()
         return True
-
-    def send_reverse(self, fn, arg):
-        self.loop.post(self.loop.now + 2 * self.one_way_us, fn, arg)
 
     def quiescent_accounting_ok(self):
         accepted = self.offered - self.dropped_tail
@@ -391,7 +419,8 @@ class ReferenceLink:
         if packet is not None:
             self.landings.append(self.loop.now + self.one_way_us)
             flow_id, seq, payload_len, _ = packet
-            self.sinks[flow_id](seq, payload_len)
+            sink, ack_to = self.sinks[flow_id]
+            self.loop.post(self.loop.now + 2 * self.one_way_us, ack_to, sink(seq, payload_len))
 
 
 class _Driven:
@@ -425,10 +454,11 @@ class _Driven:
 
         def sink(fid, seq, payload_len):
             self.sunk.append((fid, seq))
-            link.send_reverse(on_ack, (fid, seq))
+            return fid, seq
 
         for fid in (0, 1):
-            link.register_sink(fid, lambda seq, payload_len, fid=fid: sink(fid, seq, payload_len))
+            link.register_sink(fid, lambda seq, payload_len, fid=fid: sink(fid, seq, payload_len),
+                               on_ack)
         for at, fid in initial:
             loop.post(at, send, fid)
 

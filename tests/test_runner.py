@@ -318,7 +318,7 @@ def test_ack_reaches_the_sender_one_propagation_rtt_after_serialization():
             super().on_ack(ack)
 
     sender = AckLog(loop, 0, config, ctrl, link, total_bytes=config.mss)
-    link.register_sink(0, _FlowPipe(link, sender).on_packet)
+    link.register_sink(0, _FlowPipe().on_packet, sender.on_ack)
     sender.start(0)
     loop.run_until(ms(1000))
     # 1500 wire bytes at 1.5 Mbps serialize in 8 ms; the ACK then needs

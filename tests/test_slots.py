@@ -26,7 +26,7 @@ def test_per_packet_objects_have_no_instance_dict(variant):
     config = TransportConfig()
     controller = make_controller(variant, 2, 44.0, config.mss)
     sender = TcpSender(loop, 0, config, controller, link)
-    for obj in (loop, link, sender, TcpReceiver(), _FlowPipe(link, sender), controller):
+    for obj in (loop, link, sender, TcpReceiver(), _FlowPipe(), controller):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         with pytest.raises(AttributeError):
             obj.undeclared = 0

@@ -660,11 +660,7 @@ def test_short_transfer_completes_and_reports():
         acks.append((loop.now, ack))
         sender.on_ack(ack)
 
-    def sink(seq, payload_len):
-        ack = rcv.on_segment(seq, payload_len)
-        link.send_reverse(on_ack, ack)
-
-    link.register_sink(0, sink)
+    link.register_sink(0, rcv.on_segment, on_ack)
     sender.start(0)
     loop.run_until(seconds(30))
     # done at the first ACK of the last byte, and only then
@@ -684,11 +680,7 @@ def test_clean_channel_run_keeps_sender_and_receiver_consistent():
     rcv = CountingReceiver()
     sender = TcpSender(loop, 0, cfg, ctrl, link)
 
-    def sink(seq, payload_len):
-        ack = rcv.on_segment(seq, payload_len)
-        link.send_reverse(sender.on_ack, ack)
-
-    link.register_sink(0, sink)
+    link.register_sink(0, rcv.on_segment, sender.on_ack)
     sender.start(0)
     sender.app_stop_us = seconds(8)   # stop before growth can overflow the queue
     loop.run_until(seconds(20))
