@@ -55,9 +55,7 @@ def parse_scenario(token: str) -> ScenarioSpec:
     if token == SCENARIO_LONG:
         return ScenarioSpec(SCENARIO_LONG)
     if token.startswith(SCENARIO_SHORT):
-        rest = token[len(SCENARIO_SHORT):].lstrip(":")
-        if rest.lower().endswith("kb"):
-            rest = rest[:-2]
+        rest = token[len(SCENARIO_SHORT):].lstrip(":").lower().removesuffix("kb")
         return ScenarioSpec(SCENARIO_SHORT, size_kb=int(rest) if rest else 0)
     raise ValueError(f"cannot parse scenario token {token!r}")
 
@@ -85,7 +83,7 @@ class LabConfig:
 
     def validate(self) -> None:
         """Check each key against its range in `KEYS`, then the rules that span keys."""
-        for section, key, path, (_, fmt, ok, need) in KEYS + _RUN_KEYS:
+        for section, key, path, (_, fmt, ok, need), _ in KEYS:
             value = attrgetter(path)(self)
             if not ok(value):
                 raise ValueError(f"[{section}] {key} = {fmt(value)} must be {need}")
@@ -101,6 +99,9 @@ class LabConfig:
         specs = [self.scenario, *map(self.matrix_scenario, self.matrix_scenarios)]
         if any(s.kind == SCENARIO_SHORT and s.size_kb <= 0 for s in specs):
             raise ValueError("short-transfer scenario needs a positive size")
+        if self.scenario.kind == SCENARIO_LONG and self.scenario.size_kb:
+            raise ValueError(f"[experiment] size_kb = {self.scenario.size_kb} must be 0 with "
+                             f"scenario = {SCENARIO_LONG}: a long-lived flow sends until the end")
         for what, values in (("variants", self.matrix_variants), ("flows", self.matrix_flows),
                              ("scenarios", [s.tag for s in specs[1:]])):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -125,11 +126,15 @@ class LabConfig:
     # canonical text and hashing
 
     def canonical_text(self) -> str:
-        """Every key of `KEYS`, in order, one `[section]` block per section."""
-        return "\n".join(
-            f"[{section}]\n" + "".join(f"{key} = {fmt(attrgetter(path)(self))}\n"
-                                        for _, key, path, (_, fmt, _, _) in rows)
-            for section, rows in groupby(KEYS, itemgetter(0)))
+        """The rows of `KEYS` that their hash rules write, in order, one
+        `[section]` block per section that has any."""
+        lines = []
+        for section, key, path, (_, fmt, _, _), rule in KEYS:
+            text = fmt(attrgetter(path)(self))
+            if rule is ALWAYS or (rule is not NEVER and text != fmt(rule)):
+                lines.append((section, f"{key} = {text}\n"))
+        return "\n".join(f"[{section}]\n" + "".join(map(itemgetter(1), rows))
+                         for section, rows in groupby(lines, itemgetter(0)))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -137,8 +142,7 @@ class LabConfig:
 
 def _beta_fraction(text: str) -> tuple[int, int]:
     from fractions import Fraction   # here, so that only beta keys load it
-    frac = Fraction(text)
-    return frac.numerator, frac.denominator
+    return Fraction(text).as_integer_ratio()
 
 
 def _beta_text(pair: tuple[int, int]) -> str:
@@ -152,8 +156,7 @@ def _any(value) -> bool:
     return True
 
 
-def _g(value: float) -> str:
-    return format(value, "g")      # "inf" round-trips too
+_g = "{:g}".format      # "inf" round-trips too
 
 
 # codecs: (parse the INI text, format the attribute value, is the value
@@ -188,13 +191,13 @@ _RANGES = {
     ">= 1": lambda x: x >= 1,
     "in [0, 1]": lambda x: 0 <= x <= 1,
     "in (0, 1)": lambda x: 0 < x < 1,
+    "at least 1 µs once rounded": lambda x: ms(x) >= 1,
 }
 
 
 def _within(codec, bound: str):
     parse, fmt, ok, noun = codec
-    in_range = _RANGES[bound]
-    return parse, fmt, lambda value: ok(value) and in_range(value), f"{noun} {bound}"
+    return parse, fmt, lambda value: ok(value) and _RANGES[bound](value), f"{noun} {bound}"
 
 
 def _list(codec):
@@ -206,72 +209,72 @@ def _list(codec):
 
 
 _COUNT = _within(_INT, ">= 1")
+_PROB = _within(_FLOAT, "in [0, 1]")
 
-# (section, key, LabConfig attribute path, codec), in canonical order.  The
-# hashed text is exactly these keys; defaults live in the dataclasses.
-# `scenario` loads a whole new spec, so it must precede `duration_s` and
-# `size_kb`.  `LabConfig.validate` checks every value against its codec.
+# hash rules, the last column of `KEYS`: `canonical_text` writes a row at
+# every value (ALWAYS), never (NEVER: a run setting, which does not change
+# results), or unless its value formats as the rule does.  Such a rule is
+# the row's neutral value: the behaviour from before the key existed.  It
+# equals the dataclass default and never changes once released, so a key
+# added at its neutral value leaves every existing hash alone.
+ALWAYS, NEVER = object(), object()
+
+# (section, key, LabConfig attribute path, codec, hash rule), in canonical
+# order; defaults live in the dataclasses.  `scenario` loads a whole new
+# spec, so it must precede `duration_s` and `size_kb`.  Each section's rows
+# are adjacent: `groupby` joins only adjacent rows.  `LabConfig.validate`
+# checks every value against its codec.
 KEYS = (
-    ("experiment", "variant", "variant", _TEXT),
-    ("experiment", "flows", "flows", _COUNT),
-    ("experiment", "scenario", "scenario", _SCENARIO),
-    ("experiment", "duration_s", "scenario.duration_s", _within(_FLOAT, "> 0")),
-    ("experiment", "size_kb", "scenario.size_kb", _within(_INT, ">= 0")),
-    ("experiment", "seed", "seed", _INT),
-    ("experiment", "stagger_s", "stagger_s", _within(_FLOAT, ">= 0")),
-    ("experiment", "sample_interval_ms", "sample_interval_ms", _within(_FLOAT, "> 0")),
-    ("link", "rate_bps", "link.rate_bps", _COUNT),
-    ("link", "prop_rtt_ms", "link.prop_rtt_us", _within(_MS, ">= 0")),
-    ("link", "queue_capacity", "link.queue_capacity", _COUNT),
-    ("link", "arq_frame_error_prob", "link.arq_frame_error_prob", _within(_FLOAT, "in [0, 1]")),
-    ("link", "arq_retx_delay_ms", "link.arq_retx_delay_us", _within(_MS, ">= 0")),
-    ("link", "arq_max_retx", "link.arq_max_retx", _within(_INT, ">= 0")),
-    ("link", "residual_loss_prob", "link.residual_loss_prob", _within(_FLOAT, "in [0, 1]")),
-    ("transport", "mss", "transport.mss", _COUNT),
-    ("transport", "wire_len", "transport.wire_len", _INT),
-    ("transport", "initial_cwnd", "transport.initial_cwnd_segments", _COUNT),
+    ("experiment", "variant", "variant", _TEXT, ALWAYS),
+    ("experiment", "flows", "flows", _COUNT, ALWAYS),
+    ("experiment", "scenario", "scenario", _SCENARIO, ALWAYS),
+    ("experiment", "duration_s", "scenario.duration_s", _within(_FLOAT, "> 0"), ALWAYS),
+    ("experiment", "size_kb", "scenario.size_kb", _within(_INT, ">= 0"), ALWAYS),
+    ("experiment", "seed", "seed", _INT, ALWAYS),
+    ("experiment", "stagger_s", "stagger_s", _within(_FLOAT, ">= 0"), ALWAYS),
+    ("experiment", "sample_interval_ms", "sample_interval_ms",
+     _within(_FLOAT, "at least 1 µs once rounded"), ALWAYS),
+    ("experiment", "out", "out_dir", _TEXT, NEVER),
+    ("experiment", "workers", "workers", _COUNT, NEVER),
+    ("link", "rate_bps", "link.rate_bps", _COUNT, ALWAYS),
+    ("link", "prop_rtt_ms", "link.prop_rtt_us", _within(_MS, ">= 0"), ALWAYS),
+    ("link", "queue_capacity", "link.queue_capacity", _COUNT, ALWAYS),
+    ("link", "arq_frame_error_prob", "link.arq_frame_error_prob", _PROB, ALWAYS),
+    ("link", "arq_retx_delay_ms", "link.arq_retx_delay_us", _within(_MS, ">= 0"), ALWAYS),
+    ("link", "arq_max_retx", "link.arq_max_retx", _within(_INT, ">= 0"), ALWAYS),
+    ("link", "residual_loss_prob", "link.residual_loss_prob", _PROB, ALWAYS),
+    ("transport", "mss", "transport.mss", _COUNT, ALWAYS),
+    ("transport", "wire_len", "transport.wire_len", _INT, ALWAYS),
+    ("transport", "initial_cwnd", "transport.initial_cwnd_segments", _COUNT, ALWAYS),
     # "inf" lifts the slow-start cap, so this float alone may be infinite
     ("transport", "initial_ssthresh", "transport.initial_ssthresh_segments",
-     _within((float, _g, _any, "a number"), ">= 1")),
-    ("transport", "dupack_threshold", "transport.dupack_threshold", _COUNT),
-    ("transport", "rto_initial_ms", "transport.rto_initial_us", _within(_MS, "> 0")),
-    ("transport", "rto_min_ms", "transport.rto_min_us", _within(_MS, "> 0")),
-    ("transport", "rto_max_ms", "transport.rto_max_us", _MS),
-    ("newreno", "b", "newreno.b", _BETA),
-    ("westwood+", "filter_gain", "westwood.filter_gain", _within(_FLOAT, "in [0, 1]")),
-    ("westwood+", "min_interval_ms", "westwood.min_interval_us", _within(_MS, "> 0")),
-    ("westwood+", "fallback_b", "westwood.fallback_b", _BETA),
-    ("bic", "b", "bic.b", _BETA),
-    ("bic", "s_max", "bic.s_max", _within(_FLOAT, "> 0")),
-    ("bic", "s_min", "bic.s_min", _within(_FLOAT, ">= 0")),
-    ("bic", "low_window", "bic.low_window", _within(_FLOAT, ">= 0")),
-    ("bic", "probe_start", "bic.probe_start", _within(_FLOAT, ">= 0")),
-    ("bic", "fast_convergence", "bic.fast_convergence", _BOOL),
-    ("cubic", "c", "cubic.c", _within(_FLOAT, "> 0")),
-    ("cubic", "b", "cubic.b", _within(_FLOAT, "in (0, 1)")),
-    ("cubic", "tcp_friendly", "cubic.tcp_friendly", _BOOL),
-    ("cubic", "fast_convergence", "cubic.fast_convergence", _BOOL),
-    ("matrix", "variants", "matrix_variants", _list(_TEXT)),
-    ("matrix", "flows", "matrix_flows", _list(_COUNT)),
+     _within((float, _g, _any, "a number"), ">= 1"), ALWAYS),
+    ("transport", "dupack_threshold", "transport.dupack_threshold", _COUNT, ALWAYS),
+    ("transport", "rto_initial_ms", "transport.rto_initial_us", _within(_MS, "> 0"), ALWAYS),
+    ("transport", "rto_min_ms", "transport.rto_min_us", _within(_MS, "> 0"), ALWAYS),
+    ("transport", "rto_max_ms", "transport.rto_max_us", _MS, ALWAYS),
+    ("newreno", "b", "newreno.b", _BETA, ALWAYS),
+    ("westwood+", "filter_gain", "westwood.filter_gain", _PROB, ALWAYS),
+    ("westwood+", "min_interval_ms", "westwood.min_interval_us", _within(_MS, "> 0"), ALWAYS),
+    ("westwood+", "fallback_b", "westwood.fallback_b", _BETA, ALWAYS),
+    ("bic", "b", "bic.b", _BETA, ALWAYS),
+    ("bic", "s_max", "bic.s_max", _within(_FLOAT, "> 0"), ALWAYS),
+    ("bic", "s_min", "bic.s_min", _within(_FLOAT, ">= 0"), ALWAYS),
+    ("bic", "low_window", "bic.low_window", _within(_FLOAT, ">= 0"), ALWAYS),
+    ("bic", "probe_start", "bic.probe_start", _within(_FLOAT, ">= 0"), ALWAYS),
+    ("bic", "fast_convergence", "bic.fast_convergence", _BOOL, ALWAYS),
+    ("cubic", "c", "cubic.c", _within(_FLOAT, "> 0"), ALWAYS),
+    ("cubic", "b", "cubic.b", _within(_FLOAT, "in (0, 1)"), ALWAYS),
+    ("cubic", "tcp_friendly", "cubic.tcp_friendly", _BOOL, ALWAYS),
+    ("cubic", "fast_convergence", "cubic.fast_convergence", _BOOL, ALWAYS),
+    ("matrix", "variants", "matrix_variants", _list(_TEXT), ALWAYS),
+    ("matrix", "flows", "matrix_flows", _list(_COUNT), ALWAYS),
     ("matrix", "scenarios", "matrix_scenarios",
-     _list((str, str, _is_scenario_token, _SCENARIO_FORMS))),
-    ("matrix", "runs", "matrix_runs", _COUNT),
+     _list((str, str, _is_scenario_token, _SCENARIO_FORMS)), ALWAYS),
+    ("matrix", "runs", "matrix_runs", _COUNT, ALWAYS),
 )
 
-# run settings: read from the file, but they do not change results, so they
-# stay out of the hashed text
-_RUN_KEYS = (
-    ("experiment", "out", "out_dir", _TEXT),
-    ("experiment", "workers", "workers", _COUNT),
-)
-
-_LEGAL = {(section, key) for section, key, _, _ in KEYS + _RUN_KEYS}
-_SECTIONS = {section for section, _ in _LEGAL}
-
-
-def _set(cfg: LabConfig, path: str, value) -> None:
-    owner, _, attr = path.rpartition(".")
-    setattr(attrgetter(owner)(cfg) if owner else cfg, attr, value)
+_LEGAL = {section: {row[1] for row in rows} for section, rows in groupby(KEYS, itemgetter(0))}
 
 
 def load_config(path: str | None = None, text: str | None = None) -> LabConfig:
@@ -297,24 +300,24 @@ def _load(path: str | None, text: str | None) -> LabConfig:
     if parser.defaults():
         raise ValueError(f"unknown section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _LEGAL:
             raise ValueError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if (section, key) not in _LEGAL:
+            if key not in _LEGAL[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
 
     cfg = LabConfig()
-    for section, key, attr, (parse, _, _, need) in KEYS + _RUN_KEYS:
+    for section, key, path, (parse, _, _, need), _ in KEYS:
         text = parser.get(section, key, fallback=None)
         if text is not None:
             try:
                 value = parse(text)
             except (KeyError, OverflowError, ValueError, ZeroDivisionError):
                 raise ValueError(f"[{section}] {key} = {text} must be {need}") from None
-            _set(cfg, attr, value)
-    if parser.has_option("experiment", "scenario"):
-        token = parser.get("experiment", "scenario")
-        if parse_scenario(token).size_kb not in (0, cfg.scenario.size_kb):
-            raise ValueError(f"scenario = {token} conflicts with size_kb = {cfg.scenario.size_kb}")
+            owner, _, attr = path.rpartition(".")
+            setattr(attrgetter(owner)(cfg) if owner else cfg, attr, value)
+    token = parser.get("experiment", "scenario", fallback=SCENARIO_LONG)
+    if parse_scenario(token).size_kb not in (0, cfg.scenario.size_kb):
+        raise ValueError(f"scenario = {token} conflicts with size_kb = {cfg.scenario.size_kb}")
     cfg.validate()
     return cfg

@@ -108,7 +108,7 @@ def run_single(config: LabConfig, seed: int, run_index: int = 0,
     try:
         if capture_timeseries:
             append = timeseries.append
-            interval_us = max(1, ms(config.sample_interval_ms))
+            interval_us = ms(config.sample_interval_ms)
             for t in range(0, end_us + 1, interval_us):
                 if t:
                     loop.run_until(t - 1)

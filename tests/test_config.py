@@ -1,16 +1,21 @@
 """Config parsing, canonical serialization, and hashing."""
 
 import configparser
+import json
 import re
 from fractions import Fraction
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cclab.config import (KEYS, LabConfig, ScenarioSpec, _RUN_KEYS,
+import cclab.config as config_mod
+from cclab.cli import main
+from cclab.config import (ALWAYS, KEYS, NEVER, LabConfig, ScenarioSpec, _BETA, _TEXT,
                           _beta_text, load_config, parse_scenario)
+from cclab.runner import run_single
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -109,7 +114,7 @@ def test_readme_config_block_loads_to_the_defaults():
     assert load_config(text=block).config_hash() == LabConfig().config_hash()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read_string(block)
-    missing = [(section, key) for section, key, _, _ in KEYS
+    missing = [(section, key) for section, key, *_ in KEYS
                if not parser.has_option(section, key)]
     assert missing == []
 
@@ -182,6 +187,10 @@ BAD_INPUTS = [
     ("experiment", "stagger_s", "nan"),
     ("experiment", "duration_s", "nan"),
     ("experiment", "sample_interval_ms", "nan"),
+    # both round to a 0 µs interval: run_single sampled them every 1 µs,
+    # under two hashes
+    ("experiment", "sample_interval_ms", "0.0004"),
+    ("experiment", "sample_interval_ms", "0.0005"),
     ("bic", "s_max", "nan"),
 ]
 
@@ -218,6 +227,7 @@ PAST_THE_ENDS = {
     "a non-empty comma-separated list, each long_lived, short, short:N or shortNkb":
         ("long_lived,sideways", ""),
     "a finite number > 0": ("0", "inf"),
+    "a finite number at least 1 µs once rounded": ("0.0005", "inf"),
     "a finite number >= 0": ("-0.001", "inf"),
     "a finite number in [0, 1]": ("-0.001", "1.001"),
     "a finite number in (0, 1)": ("0", "1"),
@@ -225,22 +235,23 @@ PAST_THE_ENDS = {
     "a fraction in (0, 1]": ("0", "1001/1000"),
     "true or false": ("ture", "2"),
 }
-# legal values besides the defaults: "inf" lifts the slow-start cap
-ALSO_LEGAL = {"a number >= 1": ("inf",)}
+# legal values besides the defaults: "inf" lifts the slow-start cap, and
+# 0.0006 ms rounds to a 1 µs interval
+ALSO_LEGAL = {"a number >= 1": ("inf",),
+              "a finite number at least 1 µs once rounded": ("0.0006",)}
 # rows without a range of their own: any value parses, or a rule that
 # spans keys bounds it (wire_len and rto_max_ms)
 UNBOUNDED = {"text", "an integer", "a finite number",
              "long_lived, short, short:N or shortNkb"}
-ROWS = KEYS + _RUN_KEYS
 
 
 def test_every_row_states_a_range_this_file_knows():
-    needs = {need for *_, (_, _, _, need) in ROWS}
+    needs = {need for _, _, _, (_, _, _, need), _ in KEYS}
     assert needs <= PAST_THE_ENDS.keys() | UNBOUNDED
 
 
-BOUNDED = [row for row in ROWS if row[3][3] in PAST_THE_ENDS]
-FLOATS = [(section, key) for section, key, _, codec in ROWS if "number" in codec[3]]
+BOUNDED = [row[:4] for row in KEYS if row[3][3] in PAST_THE_ENDS]
+FLOATS = [(section, key) for section, key, _, codec, _ in KEYS if "number" in codec[3]]
 
 
 @pytest.mark.parametrize("section, key, path, codec", BOUNDED,
@@ -358,3 +369,169 @@ def test_loading_from_a_file(tmp_path):
     cfg = load_config(path=str(path))
     assert cfg.variant == "cubic"
     assert cfg.flows == 2
+
+
+def test_a_size_in_a_long_lived_run_fails_naming_both_keys():
+    # a long-lived flow sends until the run ends: the size would only move the hash
+    message = re.escape("[experiment] size_kb = 50 must be 0 with scenario = long_lived")
+    for text in ("[experiment]\nsize_kb = 50\n",
+                 "[experiment]\nscenario = long_lived\nsize_kb = 50\n"):
+        with pytest.raises(ValueError, match=message):
+            load_config(text=text)
+    with pytest.raises(ValueError, match=message):
+        run_single(load_config(text=""), seed=1, scenario=ScenarioSpec(size_kb=50))
+    cfg = load_config(text="")
+    cfg.scenario.size_kb = 50
+    with pytest.raises(ValueError, match=message):
+        run_single(cfg, seed=1)
+
+
+def test_a_sample_interval_that_rounds_to_0_us_fails_at_run_start():
+    cfg = load_config(text="")
+    cfg.sample_interval_ms = 0.0004
+    with pytest.raises(ValueError, match=re.escape(
+            "[experiment] sample_interval_ms = 0.0004 must be a finite number at least "
+            "1 µs once rounded")):
+        run_single(cfg, seed=1, capture_timeseries=True)
+
+
+# a legal value for each range, by the text that names it; each row takes
+# the first one that differs from its default
+OTHER_VALUES = {
+    "text": ("cubic",),                         # a variant, and a directory
+    "an integer": ("1600",),                    # wire_len stays at least mss
+    "an integer >= 0": ("2",),
+    "an integer >= 1": ("2", "3"),
+    "a finite number": ("90000",),
+    "a finite number > 0": ("2",),
+    "a finite number >= 0": ("0.5",),
+    "a finite number at least 1 µs once rounded": ("80",),
+    "a finite number in [0, 1]": ("0.25",),
+    "a finite number in (0, 1)": ("0.25",),
+    "a number >= 1": ("inf",),
+    "a fraction in (0, 1]": ("3/4",),
+    "true or false": ("false", "true"),
+    "long_lived, short, short:N or shortNkb": ("short:50",),
+    "a non-empty comma-separated list, each text": ("cubic,bic",),
+    "a non-empty comma-separated list, each an integer >= 1": ("2,3",),
+    "a non-empty comma-separated list, each long_lived, short, short:N or shortNkb":
+        ("short:50,long_lived",),
+}
+# the other keys a value needs: only a short transfer has a size
+CONTEXT = {("experiment", "size_kb"): "scenario = short\n"}
+
+
+@pytest.mark.parametrize("section, key, path, codec, rule", KEYS,
+                         ids=[f"{section}.{key}" for section, key, *_ in KEYS])
+def test_each_row_round_trips_at_a_value_other_than_its_default(section, key, path, codec,
+                                                                rule):
+    _, fmt, _, need = codec
+    value_of = attrgetter(path)
+    default = fmt(value_of(LabConfig()))
+    value = next(v for v in OTHER_VALUES[need] if v != default)
+    cfg = load_config(text=f"[{section}]\n{CONTEXT.get((section, key), '')}{key} = {value}\n")
+    assert fmt(value_of(cfg)) != default
+    text = cfg.canonical_text()
+    again = load_config(text=text)
+    assert again.canonical_text() == text
+    assert again.config_hash() == cfg.config_hash()
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if rule is NEVER:
+        # a run setting never shows up in the hashed text
+        assert not parser.has_option(section, key)
+        assert text == LabConfig().canonical_text()
+    else:
+        assert parser.get(section, key) == fmt(value_of(cfg)) == fmt(value_of(again))
+
+
+def test_each_sections_rows_are_adjacent():
+    # `canonical_text` and the legal keys group `KEYS` by section with
+    # `groupby`, which joins only adjacent rows
+    sections = [section for section, _ in groupby(row[0] for row in KEYS)]
+    assert len(sections) == len(set(sections))
+
+
+def test_the_run_settings_are_the_rows_never_written():
+    assert [(s, k) for s, k, *_, rule in KEYS if rule is NEVER] == [
+        ("experiment", "out"), ("experiment", "workers")]
+
+
+# Each row's neutral value, as its codec writes it.  A neutral value never
+# changes once released: results would change under an unchanged hash.  A
+# key added with a neutral value adds its entry here.
+NEUTRAL_VALUES = {}
+
+
+def _neutral_rows(rows):
+    return [row for row in rows if row[4] is not ALWAYS and row[4] is not NEVER]
+
+
+def test_the_neutral_values_are_pinned():
+    assert {(section, key): fmt(rule)
+            for section, key, _, (_, fmt, _, _), rule in _neutral_rows(KEYS)} == NEUTRAL_VALUES
+
+
+def _neutral_mismatches(rows):
+    """The rows whose neutral value does not format as their dataclass default."""
+    return [(section, key) for section, key, path, (_, fmt, _, _), rule in _neutral_rows(rows)
+            if fmt(rule) != fmt(attrgetter(path)(LabConfig()))]
+
+
+# a test-only key with neutral value 1/2, as a later key would be added,
+# read from a class attribute of LabConfig
+PROBE = ("probe", "b", "probe_b", _BETA, (1, 2))
+DEFAULT_TEXT = LabConfig().canonical_text()
+
+
+@pytest.fixture
+def probe_key(monkeypatch):
+    monkeypatch.setattr(LabConfig, "probe_b", (1, 2), raising=False)
+    monkeypatch.setattr(config_mod, "KEYS", KEYS + (PROBE,))
+    monkeypatch.setitem(config_mod._LEGAL, "probe", {"b"})
+
+
+def test_each_neutral_value_formats_as_its_default(probe_key):
+    assert _neutral_mismatches(KEYS) == []
+    assert _neutral_mismatches([PROBE]) == []
+    assert _neutral_mismatches([PROBE[:4] + ((2, 4),)]) == []      # written 1/2
+    assert _neutral_mismatches([PROBE[:4] + ((3, 4),)]) == [("probe", "b")]
+
+
+def test_a_key_at_its_neutral_value_leaves_the_default_text_and_hash_alone(probe_key):
+    assert LabConfig().canonical_text() == DEFAULT_TEXT
+    # no `[probe]` header either: every key of that section is left out
+    assert load_config(text="[probe]\nb = 1/2\n").canonical_text() == DEFAULT_TEXT
+    assert load_config(text="").config_hash() == "0c3406954ec67ff1"
+
+
+def test_a_value_that_formats_as_the_neutral_one_is_left_out(probe_key):
+    cfg = LabConfig()
+    cfg.probe_b = (2, 4)
+    assert cfg.canonical_text() == DEFAULT_TEXT
+    again = load_config(text=cfg.canonical_text())
+    assert again.probe_b == (1, 2)
+    assert again.canonical_text() == DEFAULT_TEXT
+
+
+def test_a_key_off_its_neutral_value_is_written_and_its_run_replays(probe_key, tmp_path):
+    base = load_config(text="[experiment]\nduration_s = 4\n")
+    cfg = load_config(text="[experiment]\nduration_s = 4\n[probe]\nb = 3/4\n")
+    assert cfg.canonical_text() == base.canonical_text() + "\n[probe]\nb = 3/4\n"
+    assert cfg.config_hash() != base.config_hash()
+    path = tmp_path / "lab.ini"
+    path.write_text(cfg.canonical_text())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    stored = json.loads((out / "summary.json").read_text())
+    assert stored["config"].endswith("[probe]\nb = 3/4\n")
+    assert main(["stats", str(out), "--replay"]) == 0
+
+
+def test_a_section_whose_keys_are_all_left_out_writes_no_header(probe_key, monkeypatch):
+    monkeypatch.setattr(config_mod, "KEYS",
+                        config_mod.KEYS + (("probe", "out", "out_dir", _TEXT, NEVER),))
+    monkeypatch.setitem(config_mod._LEGAL, "probe", {"b", "out"})
+    cfg = load_config(text="[probe]\nb = 1/2\nout = elsewhere\n")
+    assert cfg.out_dir == "elsewhere"
+    assert cfg.canonical_text() == DEFAULT_TEXT
